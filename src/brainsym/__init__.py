@@ -5,8 +5,12 @@ fit the bilateral symmetry axis to per-row brain-mask midpoints (least
 squares via Cramer's rule), suppress edges that have a mirror partner
 across the axis, and close the surviving asymmetric edges into measured
 candidate regions. A seeded phantom generator supplies ground truth.
+
+Importing the package fixes glibc malloc's mmap and trim thresholds for
+the process (see ``_heap``), so repeated images reuse freed memory.
 """
 
+from ._heap import keep_freed_memory
 from .detect import (
     AsymmetryMap,
     DetectionResult,
@@ -68,3 +72,5 @@ from .symmetry import (
     row_midpoints,
     solve_cramer,
 )
+
+keep_freed_memory()

@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .edges import EdgeMap, canny
+from .edges import EIGHT_CONNECTED, EdgeMap, canny
 from .errors import BrainsymError, ParameterError, PipelineError
 from .imaging import (
     GrayImage,
@@ -26,8 +25,6 @@ from .imaging import (
     round_half_away,
 )
 from .symmetry import SymmetryAxis, brain_mask, fit_axis_lsm, reflect_x, row_midpoints
-
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 VERDICT_FOUND = "found"
 VERDICT_NOT_FOUND = "not-found"
@@ -126,26 +123,32 @@ def auto_min_area(width: int, height: int) -> int:
 
 
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
-    if radius == 0:
-        return mask.copy()
-    k = 2 * radius + 1
-    padded = np.pad(mask, radius, mode="constant", constant_values=False)
-    return sliding_window_view(padded, (k, k)).any(axis=(2, 3))
+    """Max over the (2 radius + 1)^2 square around each pixel; outside is False.
+
+    Separable: a running max along rows, then along columns, each O(1)
+    per pixel (van Herk 1992; Gil & Werman 1993).
+    """
+    size = 2 * radius + 1
+    rows = ndimage.maximum_filter1d(mask, size, axis=0, mode="constant", cval=0)
+    return ndimage.maximum_filter1d(rows, size, axis=1, mode="constant", cval=0)
 
 
 def _erode(mask: np.ndarray, radius: int) -> np.ndarray:
-    if radius == 0:
-        return mask.copy()
-    k = 2 * radius + 1
-    padded = np.pad(mask, radius, mode="constant", constant_values=False)
-    return sliding_window_view(padded, (k, k)).all(axis=(2, 3))
+    """Min over the (2 radius + 1)^2 square around each pixel; outside is False."""
+    size = 2 * radius + 1
+    rows = ndimage.minimum_filter1d(mask, size, axis=0, mode="constant", cval=0)
+    return ndimage.minimum_filter1d(rows, size, axis=1, mode="constant", cval=0)
 
 
 def asymmetry_map(edges: EdgeMap, axis: SymmetryAxis, tol: int) -> AsymmetryMap:
     """Score each edge pixel 1 if nothing edges within Chebyshev distance
     tol of its mirror position (rounded half away), else 0.
 
-    A mirror column landing outside the raster counts as unmatched.
+    A mirror column landing outside the raster counts as unmatched. The
+    match test reads one dilation of the edge mask, done as separable
+    running maxima; tol is clamped to max(height, width), where the
+    dilation already covers the whole raster, so the result is the same
+    and the cost stays bounded.
     """
     if tol < 0:
         raise ParameterError(f"tol must be >= 0, got {tol}")
@@ -159,7 +162,7 @@ def asymmetry_map(edges: EdgeMap, axis: SymmetryAxis, tol: int) -> AsymmetryMap:
     in_bounds = (mirror >= 0) & (mirror < width)
     matched = np.zeros(ys.size, dtype=bool)
     if in_bounds.any():
-        reach = _dilate(mask, tol)
+        reach = _dilate(mask, min(tol, max(height, width)))
         matched[in_bounds] = reach[ys[in_bounds], mirror[in_bounds]]
     keep = ~matched
     score[ys[keep], xs[keep]] = 1
@@ -170,11 +173,16 @@ def close_mask(scores: AsymmetryMap | np.ndarray, radius: int) -> np.ndarray:
     """Morphological closing with a (2 radius + 1)^2 square element.
 
     Computed on a padded working frame so border blobs behave exactly as
-    on an unbounded plane; radius 0 is the identity.
+    on an unbounded plane; radius 0 is the identity. Dilation and erosion
+    are separable running max/min filters, O(1) per pixel whatever the
+    radius. The radius is clamped to max(height, width): the closing of
+    a mask that fits in the raster no longer changes beyond that, and the
+    clamp bounds the padded frame.
     """
     if radius < 0:
         raise ParameterError(f"radius must be >= 0, got {radius}")
     mask = scores.score > 0 if isinstance(scores, AsymmetryMap) else np.asarray(scores, dtype=bool)
+    radius = min(radius, max(mask.shape))
     if radius == 0:
         return mask.copy()
     extended = np.pad(mask, radius, mode="constant", constant_values=False)
@@ -190,7 +198,7 @@ def connected_components(mask: np.ndarray, min_area: int) -> list[Region]:
     if min_area < 1:
         raise ParameterError(f"min_area must be >= 1, got {min_area}")
     m = np.asarray(mask, dtype=bool)
-    labels, count = ndimage.label(m, structure=_EIGHT_CONNECTED)
+    labels, count = ndimage.label(m, structure=EIGHT_CONNECTED)
     if count == 0:
         return []
     ys, xs = np.nonzero(m)

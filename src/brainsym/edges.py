@@ -16,7 +16,7 @@ from .imaging import GrayImage, smooth_raster
 
 OPERATORS = ("sobel", "prewitt", "roberts")
 
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +178,7 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
     strong = weak & (field.magnitude >= high)
     if not strong.any():
         return EdgeMap(np.zeros(img.pixels.shape, dtype=bool))
-    labels, _ = ndimage.label(weak, structure=_EIGHT_CONNECTED)
+    labels, _ = ndimage.label(weak, structure=EIGHT_CONNECTED)
     keep = np.unique(labels[strong])
     return EdgeMap(np.isin(labels, keep) & weak)
 

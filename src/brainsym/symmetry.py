@@ -12,11 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .edges import EdgeMap
+from .edges import EIGHT_CONNECTED, EdgeMap
 from .errors import GeometryError, ParameterError, SingularSystemError
 from .imaging import GrayImage, round_half_away
-
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ def brain_mask(img: GrayImage) -> EdgeMap:
         raise GeometryError("no foreground separable")
     threshold = 1 + int(np.argmax(between))
     mask = pixels >= threshold
-    labels, count = ndimage.label(mask, structure=_EIGHT_CONNECTED)
+    labels, count = ndimage.label(mask, structure=EIGHT_CONNECTED)
     sizes = np.bincount(labels.ravel(), minlength=count + 1)
     sizes[0] = 0
     return EdgeMap(labels == int(np.argmax(sizes)))

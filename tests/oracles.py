@@ -92,6 +92,60 @@ def brute_asymmetry(mask, axis, tol):
     return score
 
 
+def _window_hits(mask, y, x, radius):
+    """True if some pixel of mask lies within Chebyshev distance radius of
+    (y, x); (y, x) may lie off the raster, which is empty outside."""
+    height, width = mask.shape
+    y0, y1 = max(0, y - radius), min(height, y + radius + 1)
+    x0, x1 = max(0, x - radius), min(width, x + radius + 1)
+    return y0 < y1 and x0 < x1 and bool(mask[y0:y1, x0:x1].any())
+
+
+def brute_dilate(mask, radius):
+    """Dilation by the (2 radius + 1)^2 square, one window test per pixel."""
+    m = np.asarray(mask, dtype=bool)
+    height, width = m.shape
+    out = np.zeros((height, width), dtype=bool)
+    for y in range(height):
+        for x in range(width):
+            out[y, x] = _window_hits(m, y, x, radius)
+    return out
+
+
+def brute_erode(mask, radius):
+    """Erosion by the (2 radius + 1)^2 square, off-raster pixels being
+    background: a pixel stays only if its whole window is on the raster
+    and set."""
+    m = np.asarray(mask, dtype=bool)
+    height, width = m.shape
+    out = np.zeros((height, width), dtype=bool)
+    for y in range(radius, height - radius):
+        for x in range(radius, width - radius):
+            out[y, x] = bool(m[y - radius:y + radius + 1, x - radius:x + radius + 1].all())
+    return out
+
+
+def brute_close(mask, radius):
+    """Closing by the (2 radius + 1)^2 square on an unbounded plane.
+
+    A pixel is kept when every square of that size covering it also
+    covers some mask pixel. The squares' centres reach radius past the
+    raster, so the dilation is evaluated on that wider frame first.
+    """
+    m = np.asarray(mask, dtype=bool)
+    height, width = m.shape
+    r = radius
+    reach = np.zeros((height + 2 * r, width + 2 * r), dtype=bool)
+    for cy in range(-r, height + r):
+        for cx in range(-r, width + r):
+            reach[cy + r, cx + r] = _window_hits(m, cy, cx, r)
+    out = np.zeros((height, width), dtype=bool)
+    for y in range(height):
+        for x in range(width):
+            out[y, x] = bool(reach[y:y + 2 * r + 1, x:x + 2 * r + 1].all())
+    return out
+
+
 def reaches_strong(mask, strong, start):
     """BFS within mask from start; True if some strong pixel is reachable."""
     m = np.asarray(mask, dtype=bool)

@@ -133,6 +133,19 @@ def test_detect_rerun_byte_identical(phantom_paths, tmp_path):
     assert (d1 / name_ppm).read_bytes() == (d2 / name_ppm).read_bytes()
 
 
+def test_detect_huge_radii_clamped_to_raster(phantom_paths, tmp_path):
+    # the padded closing frame would need about (2e5)^2 pixels unclamped
+    outputs = []
+    for value in ("100000", "257"):
+        outdir = tmp_path / value
+        proc = run_cli("detect", phantom_paths["lesioned"], "-d", outdir,
+                       "--mirror-tol", value, "--closing-radius", value)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(outdir / name).read_bytes()
+                        for name in ("lesioned.report.json", "lesioned.overlay.ppm")])
+    assert outputs[0] == outputs[1]
+
+
 def test_detect_pixel_spacing_scales_mm2(phantom_paths, tmp_path):
     proc = run_cli("detect", phantom_paths["lesioned"], "-d", tmp_path,
                    "--pixel-spacing", "0.5")

@@ -21,8 +21,15 @@ from brainsym import (
     measure,
     render_overlay,
 )
+from brainsym.detect import _dilate, _erode
 
-from oracles import brute_asymmetry, flood_fill_components
+from oracles import (
+    brute_asymmetry,
+    brute_close,
+    brute_dilate,
+    brute_erode,
+    flood_fill_components,
+)
 
 
 def straight_axis(column):
@@ -125,6 +132,30 @@ def test_close_is_extensive_and_idempotent():
 def test_close_radius_validation():
     with pytest.raises(ParameterError):
         close_mask(np.zeros((3, 3), dtype=bool), -1)
+
+
+def test_morphology_matches_brute_force():
+    # 500 masks from 1x1 to 20x20; radii up to 25 often exceed the raster
+    rng = np.random.default_rng(79)
+    for _ in range(500):
+        height, width = (int(v) for v in rng.integers(1, 21, size=2))
+        mask = rng.random((height, width)) < rng.uniform(0.02, 0.6)
+        radius = int(rng.integers(0, 26))
+        assert np.array_equal(_dilate(mask, radius), brute_dilate(mask, radius))
+        assert np.array_equal(_erode(mask, radius), brute_erode(mask, radius))
+        assert np.array_equal(close_mask(mask, radius), brute_close(mask, radius))
+
+
+def test_huge_radii_clamp_exactly():
+    rng = np.random.default_rng(83)
+    for _ in range(40):
+        height, width = (int(v) for v in rng.integers(1, 13, size=2))
+        mask = rng.random((height, width)) < rng.uniform(0.01, 0.2)
+        beyond = max(height, width) + 5
+        assert np.array_equal(close_mask(mask, 10**9), brute_close(mask, beyond))
+        axis = SymmetryAxis(1, (float(rng.uniform(0, width)), float(rng.uniform(-0.3, 0.3))))
+        got = asymmetry_map(EdgeMap(mask), axis, 10**9).score
+        assert np.array_equal(got, brute_asymmetry(mask, axis, beyond))
 
 
 # ---------------------------------------------------------------------------
