@@ -12,7 +12,6 @@ the process (see ``_heap``), so repeated images reuse freed memory.
 
 from ._heap import keep_freed_memory
 from .detect import (
-    AsymmetryMap,
     DetectionResult,
     NOT_FOUND_MESSAGE,
     PipelineConfig,
@@ -29,10 +28,7 @@ from .detect import (
 )
 from .edges import (
     EdgeMap,
-    GradientField,
-    OPERATORS,
     canny,
-    count_edges,
     gradient,
     gradient_raster,
     nonmax_suppress,
@@ -65,7 +61,6 @@ from .symmetry import (
     MidpointSample,
     SymmetryAxis,
     brain_mask,
-    build_normal_equations,
     fit_axis_lsm,
     reflect_x,
     residual_rms,

@@ -2,8 +2,10 @@
 
 Edge pixels whose mirror image (across the fitted axis) also lands on an
 edge are treated as anatomy and suppressed; unmatched edge pixels are
-kept, closed into blobs and measured. Reported areas are 2-D quantities
-of a single slice (pixels and mm^2); no volume is estimated.
+kept, closed into blobs and measured. Every mask after Canny's EdgeMap
+(unmatched edges, the closed map) is a plain bool array. Reported areas
+are 2-D quantities of a single slice (pixels and mm^2); no volume is
+estimated.
 """
 
 from __future__ import annotations
@@ -34,24 +36,6 @@ NOT_FOUND_MESSAGE = "Possible tumor area are not found"
 AXIS_COLOR = (0, 255, 0)
 REGION_COLOR = (255, 0, 0)
 BBOX_COLOR = (0, 0, 255)
-
-
-@dataclass(frozen=True, eq=False)
-class AsymmetryMap:
-    """Per-pixel scores in {0, 1}; 1 marks an unmatched (asymmetric) edge."""
-
-    score: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "score", np.ascontiguousarray(self.score, dtype=np.uint8))
-
-    @property
-    def width(self) -> int:
-        return self.score.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.score.shape[0]
 
 
 @dataclass(frozen=True)
@@ -94,8 +78,8 @@ class PipelineConfig:
     pixel_spacing: float = 1.0      # mm per pixel
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ParameterError(f"sigma must be > 0, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ParameterError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.median_window != 0 and (self.median_window < 3 or self.median_window % 2 == 0):
             raise ParameterError(f"median_window must be 0 or odd >= 3, got {self.median_window}")
         if not (0.0 < self.canny_low < self.canny_high < 1.0):
@@ -113,8 +97,8 @@ class PipelineConfig:
             raise ParameterError(f"closing_radius must be >= 0, got {self.closing_radius}")
         if self.min_area is not None and self.min_area < 1:
             raise ParameterError(f"min_area must be >= 1, got {self.min_area}")
-        if not self.pixel_spacing > 0:
-            raise ParameterError(f"pixel_spacing must be > 0, got {self.pixel_spacing}")
+        if not 0 < self.pixel_spacing < math.inf:
+            raise ParameterError(f"pixel_spacing must be finite and > 0, got {self.pixel_spacing}")
 
 
 def auto_min_area(width: int, height: int) -> int:
@@ -140,9 +124,9 @@ def _erode(mask: np.ndarray, radius: int) -> np.ndarray:
     return ndimage.minimum_filter1d(rows, size, axis=1, mode="constant", cval=0)
 
 
-def asymmetry_map(edges: EdgeMap, axis: SymmetryAxis, tol: int) -> AsymmetryMap:
-    """Score each edge pixel 1 if nothing edges within Chebyshev distance
-    tol of its mirror position (rounded half away), else 0.
+def asymmetry_map(edges: EdgeMap, axis: SymmetryAxis, tol: int) -> np.ndarray:
+    """Bool mask of the edge pixels with nothing edged within Chebyshev
+    distance tol of their mirror position (rounded half away).
 
     A mirror column landing outside the raster counts as unmatched. The
     match test reads one dilation of the edge mask, done as separable
@@ -154,10 +138,10 @@ def asymmetry_map(edges: EdgeMap, axis: SymmetryAxis, tol: int) -> AsymmetryMap:
         raise ParameterError(f"tol must be >= 0, got {tol}")
     mask = edges.mask
     height, width = mask.shape
-    score = np.zeros((height, width), dtype=np.uint8)
+    unmatched = np.zeros((height, width), dtype=bool)
     ys, xs = np.nonzero(mask)
     if ys.size == 0:
-        return AsymmetryMap(score)
+        return unmatched
     mirror = round_half_away(reflect_x(axis, xs, ys)).astype(np.int64)
     in_bounds = (mirror >= 0) & (mirror < width)
     matched = np.zeros(ys.size, dtype=bool)
@@ -165,15 +149,16 @@ def asymmetry_map(edges: EdgeMap, axis: SymmetryAxis, tol: int) -> AsymmetryMap:
         reach = _dilate(mask, min(tol, max(height, width)))
         matched[in_bounds] = reach[ys[in_bounds], mirror[in_bounds]]
     keep = ~matched
-    score[ys[keep], xs[keep]] = 1
-    return AsymmetryMap(score)
+    unmatched[ys[keep], xs[keep]] = True
+    return unmatched
 
 
-def close_mask(scores: AsymmetryMap | np.ndarray, radius: int) -> np.ndarray:
-    """Morphological closing with a (2 radius + 1)^2 square element.
+def close_mask(mask: np.ndarray, radius: int) -> np.ndarray:
+    """Morphological closing of a bool mask with a (2 radius + 1)^2 square
+    element.
 
     Computed on a padded working frame so border blobs behave exactly as
-    on an unbounded plane; radius 0 is the identity. Dilation and erosion
+    on an unbounded plane; radius 0 returns a copy. Dilation and erosion
     are separable running max/min filters, O(1) per pixel whatever the
     radius. The radius is clamped to max(height, width): the closing of
     a mask that fits in the raster no longer changes beyond that, and the
@@ -181,7 +166,6 @@ def close_mask(scores: AsymmetryMap | np.ndarray, radius: int) -> np.ndarray:
     """
     if radius < 0:
         raise ParameterError(f"radius must be >= 0, got {radius}")
-    mask = scores.score > 0 if isinstance(scores, AsymmetryMap) else np.asarray(scores, dtype=bool)
     radius = min(radius, max(mask.shape))
     if radius == 0:
         return mask.copy()
@@ -226,11 +210,19 @@ def connected_components(mask: np.ndarray, min_area: int) -> list[Region]:
 
 
 def measure(regions: list[Region], pixel_spacing: float) -> tuple[int, float]:
-    """Total candidate area in pixels and mm^2 (spacing is mm per pixel)."""
+    """Total candidate area in pixels and mm^2 (spacing is mm per pixel).
+
+    A total that is not finite (an overflowing or infinite spacing) is a
+    ParameterError, so no report ever holds NaN or Infinity.
+    """
     if not pixel_spacing > 0:
         raise ParameterError(f"pixel_spacing must be > 0, got {pixel_spacing}")
     total_px = sum(r.area_px for r in regions)
-    return total_px, total_px * pixel_spacing * pixel_spacing
+    total_mm2 = total_px * pixel_spacing * pixel_spacing
+    if not math.isfinite(total_mm2):
+        raise ParameterError(
+            f"total area of {total_px} px at pixel_spacing {pixel_spacing} is not finite")
+    return total_px, total_mm2
 
 
 def _stage(name: str, fn, *args):
@@ -270,8 +262,8 @@ def detect_pipeline(img: GrayImage, config: PipelineConfig | None = None) -> Det
     pre = preprocess(img, config)
     edge_map = _stage("canny", canny, pre, config.sigma, config.canny_low, config.canny_high)
     axis = fit_image_axis(pre, config)
-    scores = _stage("asymmetry", asymmetry_map, edge_map, axis, config.mirror_tol)
-    closed = _stage("closing", close_mask, scores, config.closing_radius)
+    unmatched = _stage("asymmetry", asymmetry_map, edge_map, axis, config.mirror_tol)
+    closed = _stage("closing", close_mask, unmatched, config.closing_radius)
     min_area = config.min_area if config.min_area is not None else auto_min_area(img.width, img.height)
     regions = _stage("components", connected_components, closed, min_area)
     total_px, total_mm2 = _stage("measure", measure, regions, config.pixel_spacing)

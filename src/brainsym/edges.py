@@ -31,20 +31,15 @@ class GradientField:
 
 @dataclass(frozen=True, eq=False)
 class EdgeMap:
-    """Binary edge raster; doubles as a generic pixel mask elsewhere."""
+    """Binary edge raster, the result of canny() and threshold_edges().
+
+    Masks further down the pipeline are plain bool arrays.
+    """
 
     mask: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "mask", np.ascontiguousarray(self.mask, dtype=bool))
-
-    @property
-    def width(self) -> int:
-        return self.mask.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.mask.shape[0]
 
     @property
     def count(self) -> int:
@@ -194,8 +189,3 @@ def threshold_edges(field: GradientField, frac: float) -> EdgeMap:
     if max_mag == 0.0:
         return EdgeMap(np.zeros(field.magnitude.shape, dtype=bool))
     return EdgeMap(field.magnitude >= frac * max_mag)
-
-
-def count_edges(edge_map: EdgeMap) -> int:
-    """Number of marked pixels."""
-    return edge_map.count

@@ -178,22 +178,20 @@ def rgb_to_gray(img: RgbImage) -> GrayImage:
     return GrayImage(round_half_away(gray).astype(np.uint8))
 
 
-def gaussian_kernel(sigma: float) -> np.ndarray:
-    """Sampled 2-D Gaussian of radius ceil(3 sigma), renormalized to sum 1."""
-    if not sigma > 0:
-        raise ParameterError(f"sigma must be > 0, got {sigma}")
-    radius = math.ceil(3.0 * sigma)
-    xs = np.arange(-radius, radius + 1, dtype=np.float64)
-    g1 = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
-    kernel = np.outer(g1, g1)
-    return kernel / kernel.sum()
-
-
 def _gaussian_kernel_1d(sigma: float) -> np.ndarray:
+    if not 0 < sigma < math.inf:
+        raise ParameterError(f"sigma must be finite and > 0, got {sigma}")
     radius = math.ceil(3.0 * sigma)
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     g1 = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
     return g1 / g1.sum()
+
+
+def gaussian_kernel(sigma: float) -> np.ndarray:
+    """Sampled 2-D Gaussian of radius ceil(3 sigma), normalized to sum 1:
+    the outer product of the 1-D kernel smooth_raster() applies."""
+    k1 = _gaussian_kernel_1d(sigma)
+    return np.outer(k1, k1)
 
 
 def smooth_raster(values: np.ndarray, sigma: float) -> np.ndarray:
@@ -201,8 +199,6 @@ def smooth_raster(values: np.ndarray, sigma: float) -> np.ndarray:
 
     Separable implementation of the kernel returned by gaussian_kernel().
     """
-    if not sigma > 0:
-        raise ParameterError(f"sigma must be > 0, got {sigma}")
     k1 = _gaussian_kernel_1d(sigma)
     radius = (len(k1) - 1) // 2
     padded = np.pad(np.asarray(values, dtype=np.float64), radius, mode="reflect")

@@ -1,8 +1,8 @@
 """Bilateral symmetry axis estimation.
 
 The axis is a low-degree polynomial x(y) fitted to per-row midpoints of
-the brain foreground mask, through least-squares normal equations solved
-with Cramer's rule (n <= 3).
+the brain foreground mask (a plain bool array), through least-squares
+normal equations solved with Cramer's rule (n <= 3).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .edges import EIGHT_CONNECTED, EdgeMap
+from .edges import EIGHT_CONNECTED
 from .errors import GeometryError, ParameterError, SingularSystemError
 from .imaging import GrayImage, round_half_away
 
@@ -50,8 +50,8 @@ class LinearSystem:
     rhs: np.ndarray
 
 
-def brain_mask(img: GrayImage) -> EdgeMap:
-    """Foreground mask: Otsu threshold, then the largest 8-connected blob.
+def brain_mask(img: GrayImage) -> np.ndarray:
+    """Bool foreground mask: Otsu threshold, then the largest 8-connected blob.
 
     The threshold t maximizes the between-class variance of the split
     {v < t} / {v >= t} over the 256-bin histogram; ties pick the smallest t.
@@ -77,15 +77,15 @@ def brain_mask(img: GrayImage) -> EdgeMap:
     labels, count = ndimage.label(mask, structure=EIGHT_CONNECTED)
     sizes = np.bincount(labels.ravel(), minlength=count + 1)
     sizes[0] = 0
-    return EdgeMap(labels == int(np.argmax(sizes)))
+    return labels == int(np.argmax(sizes))
 
 
 def row_midpoints(
-    mask: EdgeMap | np.ndarray,
+    mask: np.ndarray,
     min_span: int,
     require_mid_on_mask: bool = False,
 ) -> list[MidpointSample]:
-    """Per-row midpoints of the horizontal mask extent.
+    """Per-row midpoints of the horizontal extent of a bool mask.
 
     Rows whose span (rightmost minus leftmost foreground column) falls
     below min_span are dropped. With require_mid_on_mask, rows whose
@@ -93,11 +93,9 @@ def row_midpoints(
     detection pipeline enables this to reject rows where the extent
     straddles disjoint lobes.
     """
-    m = mask.mask if isinstance(mask, EdgeMap) else np.asarray(mask, dtype=bool)
-    height, _ = m.shape
     samples = []
-    for y in range(height):
-        cols = np.nonzero(m[y])[0]
+    for y in range(mask.shape[0]):
+        cols = np.nonzero(mask[y])[0]
         if cols.size == 0:
             continue
         xl = int(cols[0])
@@ -106,13 +104,15 @@ def row_midpoints(
         if span < min_span:
             continue
         x_mid = (xl + xr) / 2.0
-        if require_mid_on_mask and not m[y, int(round_half_away(x_mid))]:
+        if require_mid_on_mask and not mask[y, int(round_half_away(x_mid))]:
             continue
         samples.append(MidpointSample(y, x_mid, span))
     return samples
 
 
 def _normal_equations(ys: np.ndarray, xs: np.ndarray, degree: int) -> LinearSystem:
+    """Least-squares normal equations for x(y) of the given degree:
+    M[j][k] = sum(y**(j+k)), rhs[j] = sum(x * y**j)."""
     n = degree + 1
     powers = [np.sum(ys ** p) for p in range(2 * n - 1)]
     matrix = np.array([[powers[j + k] for k in range(n)] for j in range(n)])
@@ -130,15 +130,6 @@ def _split_samples(samples: list[MidpointSample], degree: int) -> tuple[np.ndarr
     ys = np.array([s.y for s in samples], dtype=np.float64)
     xs = np.array([s.x_mid for s in samples], dtype=np.float64)
     return ys, xs
-
-
-def build_normal_equations(samples: list[MidpointSample], degree: int) -> LinearSystem:
-    """Least-squares normal equations for x(y) of the given degree.
-
-    M[j][k] = sum(y**(j+k)), rhs[j] = sum(x_mid * y**j).
-    """
-    ys, xs = _split_samples(samples, degree)
-    return _normal_equations(ys, xs, degree)
 
 
 def _det(a: np.ndarray, n: int) -> float:

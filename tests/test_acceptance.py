@@ -141,7 +141,7 @@ def test_criterion_06_mirror_matching_oracle():
         mask = rng.random((h, w)) < float(rng.uniform(0.01, 0.08))
         axis = SymmetryAxis(1, (float(rng.uniform(2, w - 2)), float(rng.uniform(-0.4, 0.4))))
         tol = int(rng.integers(0, 4))
-        got = asymmetry_map(EdgeMap(mask), axis, tol).score
+        got = asymmetry_map(EdgeMap(mask), axis, tol)
         if not np.array_equal(got, brute_asymmetry(mask, axis, tol)):
             mismatches += 1
     report(6, "asymmetry scores equal brute-force matcher on 200 maps",

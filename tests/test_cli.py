@@ -17,6 +17,15 @@ def run_cli(*args):
     )
 
 
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which strict JSON has not")
+
+
+def read_report(path):
+    """Parse a written report as strict JSON: NaN and Infinity fail."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 @pytest.fixture(scope="module")
 def phantom_paths(tmp_path_factory):
     base = tmp_path_factory.mktemp("inputs")
@@ -102,7 +111,7 @@ def test_axis_flat_image_exit_3(phantom_paths, tmp_path):
 def test_detect_lesioned(phantom_paths, tmp_path):
     proc = run_cli("detect", phantom_paths["lesioned"], "-d", tmp_path)
     assert proc.returncode == 0
-    report = json.loads((tmp_path / "lesioned.report.json").read_text())
+    report = read_report(tmp_path / "lesioned.report.json")
     assert report["verdict"] == "found"
     assert len(report["regions"]) >= 1
     assert report["total_area_px"] == sum(r["area_px"] for r in report["regions"])
@@ -116,7 +125,7 @@ def test_detect_symmetric_not_found_message(phantom_paths, tmp_path):
     proc = run_cli("detect", phantom_paths["plain"], "-d", tmp_path)
     assert proc.returncode == 0
     assert "Possible tumor area are not found" in proc.stdout
-    report = json.loads((tmp_path / "plain.report.json").read_text())
+    report = read_report(tmp_path / "plain.report.json")
     assert report["verdict"] == "not-found"
     assert report["regions"] == []
     assert report["message"] == "Possible tumor area are not found"
@@ -150,13 +159,38 @@ def test_detect_pixel_spacing_scales_mm2(phantom_paths, tmp_path):
     proc = run_cli("detect", phantom_paths["lesioned"], "-d", tmp_path,
                    "--pixel-spacing", "0.5")
     assert proc.returncode == 0
-    report = json.loads((tmp_path / "lesioned.report.json").read_text())
+    report = read_report(tmp_path / "lesioned.report.json")
     assert report["total_area_mm2"] == pytest.approx(report["total_area_px"] * 0.25)
 
 
+@pytest.mark.parametrize("name", ["plain", "lesioned"])
+def test_detect_infinite_pixel_spacing_exit_2(phantom_paths, tmp_path, name):
+    proc = run_cli("detect", phantom_paths[name], "-d", tmp_path, "--pixel-spacing", "inf")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_detect_overflowing_area_exit_3(phantom_paths, tmp_path):
+    # finite spacing, but 1e200**2 mm^2 per pixel overflows once anything is found
+    proc = run_cli("detect", phantom_paths["lesioned"], "-d", tmp_path / "out",
+                   "--pixel-spacing", "1e200")
+    assert proc.returncode == 3, proc.stderr
+    assert "measure" in proc.stderr
+    assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+
+def test_detect_huge_spacing_empty_report_is_strict_json(phantom_paths, tmp_path):
+    proc = run_cli("detect", phantom_paths["plain"], "-d", tmp_path, "--pixel-spacing", "1e200")
+    assert proc.returncode == 0, proc.stderr
+    report = read_report(tmp_path / "plain.report.json")
+    assert report["total_area_mm2"] == 0
+
+
 def test_detect_bad_sigma_exit_2(phantom_paths, tmp_path):
-    proc = run_cli("detect", phantom_paths["plain"], "-d", tmp_path, "--sigma", "0")
-    assert proc.returncode == 2
+    for sigma in ("0", "inf"):
+        proc = run_cli("detect", phantom_paths["plain"], "-d", tmp_path, "--sigma", sigma)
+        assert proc.returncode == 2, (sigma, proc.stderr)
 
 
 def test_detect_missing_input_exit_4(tmp_path):

@@ -43,31 +43,32 @@ def test_asymmetry_mirror_pair_suppressed():
     mask = np.zeros((11, 41), dtype=bool)
     mask[5, 10] = True
     mask[5, 30] = True
-    scores = asymmetry_map(EdgeMap(mask), straight_axis(20), 1)
-    assert scores.score.sum() == 0
+    unmatched = asymmetry_map(EdgeMap(mask), straight_axis(20), 1)
+    assert unmatched.sum() == 0
 
 
 def test_asymmetry_lone_pixel_enhanced():
     mask = np.zeros((11, 41), dtype=bool)
     mask[5, 10] = True
-    scores = asymmetry_map(EdgeMap(mask), straight_axis(20), 1)
-    assert scores.score[5, 10] == 1
-    assert scores.score.sum() == 1
+    unmatched = asymmetry_map(EdgeMap(mask), straight_axis(20), 1)
+    assert unmatched[5, 10]
+    assert unmatched.sum() == 1
 
 
 def test_asymmetry_mirror_out_of_bounds_is_unmatched():
     mask = np.zeros((5, 20), dtype=bool)
     mask[2, 1] = True                      # mirror lands at x = 37
     mask[2, 18] = True                     # close to where the mirror would be
-    scores = asymmetry_map(EdgeMap(mask), straight_axis(19), 2)
-    assert scores.score[2, 1] == 1
+    unmatched = asymmetry_map(EdgeMap(mask), straight_axis(19), 2)
+    assert unmatched[2, 1]
 
 
 def test_asymmetry_scores_only_on_edges():
     rng = np.random.default_rng(61)
     mask = rng.random((15, 25)) < 0.1
-    scores = asymmetry_map(EdgeMap(mask), straight_axis(12), 1)
-    assert not np.any(scores.score.astype(bool) & ~mask)
+    unmatched = asymmetry_map(EdgeMap(mask), straight_axis(12), 1)
+    assert unmatched.dtype == bool and unmatched.shape == mask.shape
+    assert not np.any(unmatched & ~mask)
 
 
 def test_asymmetry_symmetric_map_all_zero():
@@ -79,8 +80,8 @@ def test_asymmetry_symmetric_map_all_zero():
         mask = np.zeros((13, width), dtype=bool)
         mask[:, :c + 1] = half
         mask[:, c:] |= np.fliplr(half)
-        scores = asymmetry_map(EdgeMap(mask), straight_axis(c), 1)
-        assert scores.score.sum() == 0
+        unmatched = asymmetry_map(EdgeMap(mask), straight_axis(c), 1)
+        assert unmatched.sum() == 0
 
 
 def test_asymmetry_matches_brute_force():
@@ -89,8 +90,9 @@ def test_asymmetry_matches_brute_force():
         mask = rng.random((14, 26)) < 0.08
         axis = SymmetryAxis(1, (float(rng.uniform(5, 21)), float(rng.uniform(-0.3, 0.3))))
         tol = int(rng.integers(0, 4))
-        got = asymmetry_map(EdgeMap(mask), axis, tol).score
+        got = asymmetry_map(EdgeMap(mask), axis, tol)
         expected = brute_asymmetry(mask, axis, tol)
+        assert got.dtype == bool and got.shape == mask.shape
         assert np.array_equal(got, expected)
 
 
@@ -106,6 +108,7 @@ def test_close_radius_zero_identity():
     rng = np.random.default_rng(71)
     mask = rng.random((9, 9)) < 0.3
     out = close_mask(mask, 0)
+    assert out.dtype == bool and out.shape == mask.shape
     assert np.array_equal(out, mask)
     assert out is not mask
 
@@ -125,6 +128,7 @@ def test_close_is_extensive_and_idempotent():
         for _ in range(5):
             mask = rng.random((16, 18)) < 0.25
             once = close_mask(mask, radius)
+            assert once.dtype == bool and once.shape == mask.shape
             assert np.all(once[mask])
             assert np.array_equal(close_mask(once, radius), once)
 
@@ -154,7 +158,7 @@ def test_huge_radii_clamp_exactly():
         beyond = max(height, width) + 5
         assert np.array_equal(close_mask(mask, 10**9), brute_close(mask, beyond))
         axis = SymmetryAxis(1, (float(rng.uniform(0, width)), float(rng.uniform(-0.3, 0.3))))
-        got = asymmetry_map(EdgeMap(mask), axis, 10**9).score
+        got = asymmetry_map(EdgeMap(mask), axis, 10**9)
         assert np.array_equal(got, brute_asymmetry(mask, axis, beyond))
 
 
@@ -231,6 +235,11 @@ def test_measure_quadratic_in_spacing():
 def test_measure_validation():
     with pytest.raises(ParameterError):
         measure([], 0.0)
+    # a total that is not finite: 0 px * inf is NaN, and 1e200**2 overflows
+    for regions, spacing in (([], float("inf")), ([_region(3)], float("inf")),
+                             ([_region(3)], 1e200)):
+        with pytest.raises(ParameterError):
+            measure(regions, spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +307,8 @@ def test_pipeline_verdict_monotone_in_min_area():
 def test_config_validation():
     for kwargs in (
         dict(sigma=0.0),
+        dict(sigma=float("inf")),
+        dict(sigma=float("nan")),
         dict(median_window=2),
         dict(median_window=-1),
         dict(canny_low=0.3, canny_high=0.2),
@@ -309,6 +320,8 @@ def test_config_validation():
         dict(closing_radius=-2),
         dict(min_area=0),
         dict(pixel_spacing=0.0),
+        dict(pixel_spacing=float("inf")),
+        dict(pixel_spacing=float("nan")),
     ):
         with pytest.raises(ParameterError):
             PipelineConfig(**kwargs)

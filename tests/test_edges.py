@@ -8,7 +8,6 @@ from brainsym import (
     GrayImage,
     ParameterError,
     canny,
-    count_edges,
     gradient,
     gradient_raster,
     nonmax_suppress,
@@ -149,7 +148,7 @@ def test_canny_mirror_equivariance():
 
 
 # ---------------------------------------------------------------------------
-# threshold_edges / count_edges
+# threshold_edges / EdgeMap.count
 
 def test_threshold_edges_zero_field_empty():
     img = GrayImage(np.full((8, 8), 123, dtype=np.uint8))
@@ -185,12 +184,12 @@ def test_threshold_edges_validation():
 
 
 def test_count_edges_basics():
-    assert count_edges(EdgeMap(np.zeros((3, 3), dtype=bool))) == 0
-    assert count_edges(EdgeMap(np.ones((4, 4), dtype=bool))) == 16
+    assert EdgeMap(np.zeros((3, 3), dtype=bool)).count == 0
+    assert EdgeMap(np.ones((4, 4), dtype=bool)).count == 16
 
 
 def test_count_edges_matches_scan():
     rng = np.random.default_rng(29)
     for _ in range(5):
         mask = rng.random((9, 7)) < 0.4
-        assert count_edges(EdgeMap(mask)) == popcount_scan(mask)
+        assert EdgeMap(mask).count == popcount_scan(mask)

@@ -14,6 +14,7 @@ from brainsym import (
     rgb_to_gray,
     round_half_away,
     save_netpbm,
+    smooth_raster,
 )
 
 from oracles import gaussian_kernel_oracle
@@ -158,6 +159,13 @@ def test_gaussian_sigma_validation():
         gaussian_smooth(img, 0.0)
     with pytest.raises(ParameterError):
         gaussian_smooth(img, -1.0)
+    for sigma in (float("inf"), float("nan")):
+        with pytest.raises(ParameterError):
+            gaussian_smooth(img, sigma)
+        with pytest.raises(ParameterError):
+            gaussian_kernel(sigma)
+        with pytest.raises(ParameterError):
+            smooth_raster(np.zeros((1, 1)), sigma)
 
 
 # ---------------------------------------------------------------------------
