@@ -57,8 +57,6 @@ from .imaging import (
 )
 from .phantom import GroundTruth, Lcg64, LesionSpec, PhantomSpec, generate
 from .symmetry import (
-    LinearSystem,
-    MidpointSample,
     SymmetryAxis,
     brain_mask,
     fit_axis_lsm,

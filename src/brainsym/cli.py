@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -57,44 +58,36 @@ def _load_gray(path: str) -> GrayImage:
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(
-        sigma=args.sigma,
-        median_window=args.median_window,
-        contrast=args.contrast,
-        canny_low=args.canny_low,
-        canny_high=args.canny_high,
-        axis_degree=args.axis_degree,
-        min_span_frac=args.min_span_frac,
-        mirror_tol=args.mirror_tol,
-        closing_radius=args.closing_radius,
-        min_area=args.min_area,
-        pixel_spacing=args.pixel_spacing,
-    )
+    return PipelineConfig(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per PipelineConfig field; each dest is the field name and
+    each default is the field's default."""
     g = parser.add_argument_group("pipeline configuration")
-    g.add_argument("--sigma", type=float, default=1.0, help="Gaussian sigma in pixels (default 1.0)")
-    g.add_argument("--median-window", type=int, default=3,
-                   help="median window, odd >= 3, 0 skips (default 3)")
+    g.add_argument("--sigma", type=float, default=PipelineConfig.sigma,
+                   help="Gaussian sigma in pixels (default %(default)s)")
+    g.add_argument("--median-window", type=int, default=PipelineConfig.median_window,
+                   help="median window, odd >= 3, 0 skips (default %(default)s)")
     g.add_argument("--no-contrast", dest="contrast", action="store_false",
+                   default=PipelineConfig.contrast,
                    help="skip the contrast stretch stage")
-    g.add_argument("--canny-low", type=float, default=0.10,
-                   help="low hysteresis fraction of max magnitude (default 0.10)")
-    g.add_argument("--canny-high", type=float, default=0.20,
-                   help="high hysteresis fraction of max magnitude (default 0.20)")
-    g.add_argument("--axis-degree", type=int, default=1, choices=(1, 2),
-                   help="symmetry axis polynomial degree (default 1)")
-    g.add_argument("--min-span-frac", type=float, default=0.10,
-                   help="minimum row span as a fraction of width (default 0.10)")
-    g.add_argument("--mirror-tol", type=int, default=2,
-                   help="Chebyshev tolerance for mirror matching (default 2)")
-    g.add_argument("--closing-radius", type=int, default=2,
-                   help="morphological closing radius (default 2)")
-    g.add_argument("--min-area", type=int, default=None,
+    g.add_argument("--canny-low", type=float, default=PipelineConfig.canny_low,
+                   help="low hysteresis fraction of max magnitude (default %(default)s)")
+    g.add_argument("--canny-high", type=float, default=PipelineConfig.canny_high,
+                   help="high hysteresis fraction of max magnitude (default %(default)s)")
+    g.add_argument("--axis-degree", type=int, default=PipelineConfig.axis_degree, choices=(1, 2),
+                   help="symmetry axis polynomial degree (default %(default)s)")
+    g.add_argument("--min-span-frac", type=float, default=PipelineConfig.min_span_frac,
+                   help="minimum row span as a fraction of width (default %(default)s)")
+    g.add_argument("--mirror-tol", type=int, default=PipelineConfig.mirror_tol,
+                   help="Chebyshev tolerance for mirror matching (default %(default)s)")
+    g.add_argument("--closing-radius", type=int, default=PipelineConfig.closing_radius,
+                   help="morphological closing radius (default %(default)s)")
+    g.add_argument("--min-area", type=int, default=PipelineConfig.min_area,
                    help="minimum region area in pixels (default: scaled with image size)")
-    g.add_argument("--pixel-spacing", type=float, default=1.0,
-                   help="mm per pixel for area reporting (default 1.0)")
+    g.add_argument("--pixel-spacing", type=float, default=PipelineConfig.pixel_spacing,
+                   help="mm per pixel for area reporting (default %(default)s)")
 
 
 def _edge_map_image(mask: np.ndarray) -> GrayImage:

@@ -18,15 +18,6 @@ from .imaging import GrayImage, round_half_away
 
 
 @dataclass(frozen=True)
-class MidpointSample:
-    """Midpoint of a mask row: column (xl + xr)/2 with span xr - xl."""
-
-    y: int
-    x_mid: float
-    span: int
-
-
-@dataclass(frozen=True)
 class SymmetryAxis:
     """Polynomial axis x(y) = sum(coeffs[i] * y**i), degree 1 or 2."""
 
@@ -39,15 +30,6 @@ class SymmetryAxis:
         for c in reversed(self.coeffs):
             result = result * np.asarray(y, dtype=np.float64) + c
         return result
-
-
-@dataclass(frozen=True, eq=False)
-class LinearSystem:
-    """Small dense system A x = b with n <= 3."""
-
-    n: int
-    matrix: np.ndarray
-    rhs: np.ndarray
 
 
 def brain_mask(img: GrayImage) -> np.ndarray:
@@ -84,52 +66,45 @@ def row_midpoints(
     mask: np.ndarray,
     min_span: int,
     require_mid_on_mask: bool = False,
-) -> list[MidpointSample]:
-    """Per-row midpoints of the horizontal extent of a bool mask.
+) -> np.ndarray:
+    """Per-row midpoints of the horizontal extent of a bool mask, as an
+    (n, 2) float64 array of (y, x_mid) rows, x_mid = (xl + xr) / 2.
 
-    Rows whose span (rightmost minus leftmost foreground column) falls
-    below min_span are dropped. With require_mid_on_mask, rows whose
-    midpoint pixel is not itself foreground are dropped too; the
-    detection pipeline enables this to reject rows where the extent
-    straddles disjoint lobes.
+    Rows with no foreground, or whose span xr - xl (rightmost minus
+    leftmost foreground column) falls below min_span, are dropped. With
+    require_mid_on_mask, rows whose midpoint pixel is not itself
+    foreground are dropped too; the detection pipeline enables this to
+    reject rows where the extent straddles disjoint lobes.
     """
-    samples = []
-    for y in range(mask.shape[0]):
-        cols = np.nonzero(mask[y])[0]
-        if cols.size == 0:
-            continue
-        xl = int(cols[0])
-        xr = int(cols[-1])
-        span = xr - xl
-        if span < min_span:
-            continue
-        x_mid = (xl + xr) / 2.0
-        if require_mid_on_mask and not mask[y, int(round_half_away(x_mid))]:
-            continue
-        samples.append(MidpointSample(y, x_mid, span))
-    return samples
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape[1] == 0:      # argmax needs at least one column
+        return np.empty((0, 2))
+    ys = np.arange(mask.shape[0])
+    xl = np.argmax(mask, axis=1)
+    xr = mask.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
+    keep = mask[ys, xl] & (xr - xl >= min_span)
+    ys, x_mid = ys[keep], (xl[keep] + xr[keep]) / 2.0
+    if require_mid_on_mask:
+        on_mask = mask[ys, round_half_away(x_mid).astype(np.intp)]
+        ys, x_mid = ys[on_mask], x_mid[on_mask]
+    return np.column_stack((ys, x_mid))
 
 
-def _normal_equations(ys: np.ndarray, xs: np.ndarray, degree: int) -> LinearSystem:
-    """Least-squares normal equations for x(y) of the given degree:
-    M[j][k] = sum(y**(j+k)), rhs[j] = sum(x * y**j)."""
+def _sample_columns(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The y and x_mid columns of an (n, 2) midpoint array."""
+    if not isinstance(samples, np.ndarray) or samples.ndim != 2 or samples.shape[1] != 2:
+        raise ParameterError("midpoint samples must be an (n, 2) array of (y, x_mid) rows")
+    return samples[:, 0].astype(np.float64), samples[:, 1].astype(np.float64)
+
+
+def _normal_equations(ys: np.ndarray, xs: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares normal equations for x(y) of the given degree, as
+    (matrix, rhs): M[j][k] = sum(y**(j+k)), rhs[j] = sum(x * y**j)."""
     n = degree + 1
     powers = [np.sum(ys ** p) for p in range(2 * n - 1)]
     matrix = np.array([[powers[j + k] for k in range(n)] for j in range(n)])
     rhs = np.array([np.sum(xs * ys ** j) for j in range(n)])
-    return LinearSystem(n, matrix, rhs)
-
-
-def _split_samples(samples: list[MidpointSample], degree: int) -> tuple[np.ndarray, np.ndarray]:
-    if degree not in (1, 2):
-        raise ParameterError(f"axis degree must be 1 or 2, got {degree}")
-    if len(samples) < degree + 1:
-        raise GeometryError(
-            f"need at least {degree + 1} midpoint samples for degree {degree}, got {len(samples)}"
-        )
-    ys = np.array([s.y for s in samples], dtype=np.float64)
-    xs = np.array([s.x_mid for s in samples], dtype=np.float64)
-    return ys, xs
+    return matrix, rhs
 
 
 def _det(a: np.ndarray, n: int) -> float:
@@ -144,13 +119,18 @@ def _det(a: np.ndarray, n: int) -> float:
     )
 
 
-def solve_cramer(system: LinearSystem) -> np.ndarray:
-    """Solve A x = b by determinant ratios (direct expansion, n <= 3)."""
-    n = system.n
+def solve_cramer(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = b by determinant ratios (direct expansion, n <= 3).
+
+    n is the length of rhs; matrix must be n x n.
+    """
+    a = np.asarray(matrix, dtype=np.float64)
+    b = np.asarray(rhs, dtype=np.float64)
+    n = b.shape[0] if b.ndim == 1 else 0
     if n < 1 or n > 3:
-        raise ParameterError(f"Cramer solver handles n in 1..3, got {n}")
-    a = np.asarray(system.matrix, dtype=np.float64).reshape(n, n)
-    b = np.asarray(system.rhs, dtype=np.float64).reshape(n)
+        raise ParameterError(f"Cramer solver handles 1-D rhs of length 1..3, got shape {b.shape}")
+    if a.shape != (n, n):
+        raise ParameterError(f"Cramer matrix must be {n}x{n}, got shape {a.shape}")
     det = _det(a, n)
     scale = max(1.0, float(np.abs(a).max()) ** n)
     if abs(det) <= 1e-12 * scale:
@@ -163,8 +143,9 @@ def solve_cramer(system: LinearSystem) -> np.ndarray:
     return solution
 
 
-def fit_axis_lsm(samples: list[MidpointSample], degree: int) -> SymmetryAxis:
-    """Least-squares polynomial fit of the midpoints, solved by Cramer.
+def fit_axis_lsm(samples: np.ndarray, degree: int) -> SymmetryAxis:
+    """Least-squares polynomial fit of (n, 2) (y, x_mid) midpoints,
+    solved by Cramer.
 
     The normal equations are formed in a centered and scaled row
     coordinate t = (y - mean) / spread. Raw row indices would push the
@@ -173,13 +154,19 @@ def fit_axis_lsm(samples: list[MidpointSample], degree: int) -> SymmetryAxis:
     problem at condition numbers near 1, and the coefficients are
     expanded back to the raw row basis exactly.
     """
-    ys, xs = _split_samples(samples, degree)
+    if degree not in (1, 2):
+        raise ParameterError(f"axis degree must be 1 or 2, got {degree}")
+    ys, xs = _sample_columns(samples)
+    if ys.size < degree + 1:
+        raise GeometryError(
+            f"need at least {degree + 1} midpoint samples for degree {degree}, got {ys.size}"
+        )
     center = float(np.mean(ys))
     spread = float(np.max(np.abs(ys - center)))
     if spread == 0.0:
         spread = 1.0
     ts = (ys - center) / spread
-    coeffs = solve_cramer(_normal_equations(ts, xs, degree))
+    coeffs = solve_cramer(*_normal_equations(ts, xs, degree))
     if degree == 1:
         a0, a1 = coeffs
         raw = (a0 - a1 * center / spread, a1 / spread)
@@ -193,12 +180,11 @@ def fit_axis_lsm(samples: list[MidpointSample], degree: int) -> SymmetryAxis:
     return SymmetryAxis(degree, tuple(float(c) for c in raw))
 
 
-def residual_rms(axis: SymmetryAxis, samples: list[MidpointSample]) -> float:
-    """Root-mean-square residual of the samples against the axis."""
-    if not samples:
+def residual_rms(axis: SymmetryAxis, samples: np.ndarray) -> float:
+    """Root-mean-square residual of (n, 2) (y, x_mid) samples against the axis."""
+    ys, xs = _sample_columns(samples)
+    if ys.size == 0:
         raise ParameterError("residual_rms needs at least one sample")
-    ys = np.array([s.y for s in samples], dtype=np.float64)
-    xs = np.array([s.x_mid for s in samples], dtype=np.float64)
     res = xs - axis.at(ys)
     return float(np.sqrt(np.mean(res * res)))
 

@@ -63,6 +63,31 @@ def round_half_away_scalar(v):
     return math.copysign(math.floor(abs(v) + 0.5), v)
 
 
+def brute_row_midpoints(mask, min_span, require_mid_on_mask=False):
+    """(y, x_mid) for each row with foreground, x_mid halfway between its
+    leftmost and rightmost foreground columns.
+
+    A row is skipped when that span is below min_span, or, with
+    require_mid_on_mask, when the pixel at the rounded midpoint is
+    background.
+    """
+    m = np.asarray(mask, dtype=bool)
+    height, width = m.shape
+    pairs = []
+    for y in range(height):
+        cols = [x for x in range(width) if m[y, x]]
+        if not cols:
+            continue
+        xl, xr = cols[0], cols[-1]
+        if xr - xl < min_span:
+            continue
+        x_mid = (xl + xr) / 2.0
+        if require_mid_on_mask and not m[y, int(round_half_away_scalar(x_mid))]:
+            continue
+        pairs.append((y, x_mid))
+    return pairs
+
+
 def brute_asymmetry(mask, axis, tol):
     """Full (2 tol + 1)^2 window search around each edge pixel's mirror.
 

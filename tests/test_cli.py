@@ -6,7 +6,16 @@ import sys
 import numpy as np
 import pytest
 
-from brainsym import GrayImage, LesionSpec, PhantomSpec, generate, load_netpbm, save_netpbm
+from brainsym import (
+    GrayImage,
+    LesionSpec,
+    PhantomSpec,
+    PipelineConfig,
+    generate,
+    load_netpbm,
+    save_netpbm,
+)
+from brainsym.cli import _config_from_args, build_parser
 
 
 def run_cli(*args):
@@ -153,6 +162,11 @@ def test_detect_huge_radii_clamped_to_raster(phantom_paths, tmp_path):
         outputs.append([(outdir / name).read_bytes()
                         for name in ("lesioned.report.json", "lesioned.overlay.ppm")])
     assert outputs[0] == outputs[1]
+
+
+def test_detect_bare_flags_give_default_config():
+    args = build_parser().parse_args(["detect", "in.pgm", "-d", "out"])
+    assert _config_from_args(args) == PipelineConfig()
 
 
 def test_detect_pixel_spacing_scales_mm2(phantom_paths, tmp_path):

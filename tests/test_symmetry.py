@@ -4,10 +4,9 @@ import pytest
 from brainsym import (
     GeometryError,
     GrayImage,
-    LinearSystem,
-    MidpointSample,
     ParameterError,
     SingularSystemError,
+    SymmetryAxis,
     brain_mask,
     fit_axis_lsm,
     reflect_x,
@@ -17,7 +16,7 @@ from brainsym import (
 )
 from brainsym.symmetry import _normal_equations
 
-from oracles import flood_fill_components, gauss_eliminate
+from oracles import brute_row_midpoints, flood_fill_components, gauss_eliminate
 
 
 def disk_image(size=64, center=(32, 32), radius=15, fg=200, bg=20):
@@ -62,7 +61,8 @@ def test_row_midpoints_two_pixel_row():
     m[1, 10] = True
     m[1, 30] = True
     samples = row_midpoints(m, 5)
-    assert samples == [MidpointSample(1, 20.0, 20)]
+    assert samples.dtype == np.float64
+    assert samples.tolist() == [[1.0, 20.0]]
 
 
 def test_row_midpoints_span_filter_and_empty_rows():
@@ -70,17 +70,34 @@ def test_row_midpoints_span_filter_and_empty_rows():
     m[0, 3:6] = True           # span 2, filtered out
     m[2, 2:20] = True          # span 17, kept
     samples = row_midpoints(m, 10)
-    assert [s.y for s in samples] == [2]
-    assert samples[0].x_mid == (2 + 19) / 2
-    assert samples[0].span == 17
+    assert samples.tolist() == [[2.0, (2 + 19) / 2]]
+    # span 17 is kept at min_span 17 and dropped at 18
+    assert samples[:, 0].tolist() == row_midpoints(m, 17)[:, 0].tolist() == [2.0]
+    assert row_midpoints(m, 18).shape == (0, 2)
+    for shape in ((0, 5), (3, 0), (0, 0)):
+        assert row_midpoints(np.zeros(shape, dtype=bool), 1).shape == (0, 2)
 
 
 def test_row_midpoints_discards_midpoint_off_mask():
     m = np.zeros((2, 40), dtype=bool)
     m[0, 0:3] = True
     m[0, 30:33] = True          # two lobes, midpoint column 16 is background
-    assert row_midpoints(m, 4, require_mid_on_mask=True) == []
+    assert row_midpoints(m, 4, require_mid_on_mask=True).shape == (0, 2)
     assert len(row_midpoints(m, 4)) == 1
+
+
+def test_row_midpoints_matches_brute_force():
+    rng = np.random.default_rng(59)
+    for case in range(600):
+        height, width = (int(v) for v in rng.integers(1, 25, size=2))
+        density = (0.0, 1.0, 0.05, 0.3, 0.7)[case % 5]
+        m = rng.random((height, width)) < density
+        min_span = int(rng.integers(0, width + 2))
+        for on_mask in (False, True):
+            got = row_midpoints(m, min_span, require_mid_on_mask=on_mask)
+            want = np.array(brute_row_midpoints(m, min_span, on_mask), dtype=np.float64)
+            assert got.dtype == np.float64 and got.shape == (len(want), 2)
+            assert np.array_equal(got, want.reshape(-1, 2))
 
 
 def test_row_midpoints_centered_ellipse():
@@ -88,17 +105,16 @@ def test_row_midpoints_centered_ellipse():
     mask = ((xs - 64) / 40.0) ** 2 + ((ys - 30) / 25.0) ** 2 <= 1.0
     samples = row_midpoints(mask, 8)
     assert len(samples) > 30
-    assert all(s.x_mid == 64.0 for s in samples)
+    assert np.all(samples[:, 1] == 64.0)
 
 
 # ---------------------------------------------------------------------------
 # normal equations
 
 def test_normal_equations_worked_example():
-    system = _normal_equations(np.array([0.0, 1.0]), np.array([5.0, 5.0]), 1)
-    assert system.n == 2
-    assert system.matrix.tolist() == [[2.0, 1.0], [1.0, 1.0]]
-    assert system.rhs.tolist() == [10.0, 5.0]
+    matrix, rhs = _normal_equations(np.array([0.0, 1.0]), np.array([5.0, 5.0]), 1)
+    assert matrix.tolist() == [[2.0, 1.0], [1.0, 1.0]]
+    assert rhs.tolist() == [10.0, 5.0]
 
 
 def test_normal_equations_symmetric():
@@ -106,41 +122,51 @@ def test_normal_equations_symmetric():
     for degree in (1, 2):
         ys = rng.integers(0, 100, 12).astype(np.float64)
         xs = rng.uniform(0, 50, 12)
-        system = _normal_equations(ys, xs, degree)
-        assert np.array_equal(system.matrix, system.matrix.T)
+        matrix, _ = _normal_equations(ys, xs, degree)
+        assert np.array_equal(matrix, matrix.T)
 
 
 def test_normal_equations_too_few_samples():
     with pytest.raises(GeometryError):
-        fit_axis_lsm([MidpointSample(0, 5.0, 1)], 1)
+        fit_axis_lsm(np.array([[0.0, 5.0]]), 1)
     with pytest.raises(GeometryError):
-        fit_axis_lsm(
-            [MidpointSample(0, 5.0, 1), MidpointSample(1, 6.0, 1)], 2
-        )
+        fit_axis_lsm(np.array([[0.0, 5.0], [1.0, 6.0]]), 2)
+    # anything but an (n, 2) array is a parameter error, not a reshape failure
+    axis = SymmetryAxis(1, (20.0, 0.0))
+    for malformed in (np.zeros((5, 3)), np.zeros(10), [[0.0, 5.0], [1.0, 6.0]]):
+        with pytest.raises(ParameterError):
+            fit_axis_lsm(malformed, 1)
+    for malformed in (np.zeros((4, 3)), np.zeros((0, 2)), [(0, 20.0)]):
+        with pytest.raises(ParameterError):
+            residual_rms(axis, malformed)
 
 
 # ---------------------------------------------------------------------------
 # cramer
 
 def test_cramer_identity():
-    system = LinearSystem(3, np.eye(3), np.array([4.0, -2.0, 9.0]))
-    assert np.allclose(solve_cramer(system), [4.0, -2.0, 9.0])
+    assert np.allclose(solve_cramer(np.eye(3), np.array([4.0, -2.0, 9.0])), [4.0, -2.0, 9.0])
 
 
 def test_cramer_worked_example():
-    system = LinearSystem(2, np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([5.0, 10.0]))
-    assert np.allclose(solve_cramer(system), [1.0, 3.0], atol=1e-12)
+    x = solve_cramer(np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([5.0, 10.0]))
+    assert np.allclose(x, [1.0, 3.0], atol=1e-12)
 
 
 def test_cramer_singular():
-    system = LinearSystem(2, np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 2.0]))
     with pytest.raises(SingularSystemError, match="degenerate midpoint geometry"):
-        solve_cramer(system)
+        solve_cramer(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 2.0]))
 
 
 def test_cramer_size_validation():
-    with pytest.raises(ParameterError):
-        solve_cramer(LinearSystem(4, np.eye(4), np.ones(4)))
+    for matrix, rhs in (
+        (np.eye(4), np.ones(4)),          # n above 3
+        (np.eye(3), np.ones(2)),          # matrix not n x n
+        (np.eye(2), np.ones((2, 1))),     # rhs not 1-D
+        (np.ones(4), np.ones(2)),         # flat matrix
+    ):
+        with pytest.raises(ParameterError):
+            solve_cramer(matrix, rhs)
 
 
 def test_cramer_matches_elimination_oracle():
@@ -152,7 +178,7 @@ def test_cramer_matches_elimination_oracle():
         if np.linalg.cond(a) >= 1e6:
             continue
         b = rng.uniform(-1, 1, size=n)
-        x = solve_cramer(LinearSystem(n, a, b))
+        x = solve_cramer(a, b)
         ref = gauss_eliminate(a, b)
         assert np.max(np.abs(x - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
         assert np.max(np.abs(a @ x - b)) <= 1e-9 * max(1.0, np.max(np.abs(b)))
@@ -163,7 +189,7 @@ def test_cramer_matches_elimination_oracle():
 # axis fit
 
 def test_fit_constant_midline():
-    samples = [MidpointSample(y, 20.0, 1) for y in range(6)]
+    samples = np.array([[y, 20.0] for y in range(6)])
     axis = fit_axis_lsm(samples, 1)
     assert abs(axis.coeffs[0] - 20.0) < 1e-9
     assert abs(axis.coeffs[1]) < 1e-12
@@ -171,7 +197,7 @@ def test_fit_constant_midline():
 
 
 def test_fit_collinear_exact():
-    samples = [MidpointSample(y, 10.0 + 2.0 * y, 1) for y in range(8)]
+    samples = np.array([[y, 10.0 + 2.0 * y] for y in range(8)])
     axis = fit_axis_lsm(samples, 1)
     assert abs(axis.coeffs[0] - 10.0) < 1e-9
     assert abs(axis.coeffs[1] - 2.0) < 1e-9
@@ -184,8 +210,7 @@ def test_fit_matches_elimination_oracle():
     for degree, top in ((1, 60), (2, 20)):
         ys = np.arange(0, top, dtype=np.float64)
         xs = 30.0 + 0.2 * ys - 0.001 * ys ** 2 + rng.normal(0, 0.5, size=ys.size)
-        samples = [MidpointSample(int(y), float(x), 1) for y, x in zip(ys, xs)]
-        axis = fit_axis_lsm(samples, degree)
+        axis = fit_axis_lsm(np.column_stack((ys, xs)), degree)
 
         n = degree + 1
         matrix = np.array([[np.sum(ys ** (j + k)) for k in range(n)] for j in range(n)])
@@ -198,9 +223,7 @@ def test_fit_matches_elimination_oracle():
 def test_fit_degree_two_at_image_scale():
     # exact quadratic over 250 rows; raw moment matrices are near the
     # singularity guard at this scale, the centered fit must not be
-    samples = [
-        MidpointSample(y, 120.0 + 0.05 * y - 0.0002 * y * y, 1) for y in range(0, 250)
-    ]
+    samples = np.array([[y, 120.0 + 0.05 * y - 0.0002 * y * y] for y in range(0, 250)])
     axis = fit_axis_lsm(samples, 2)
     assert axis.coeffs == pytest.approx((120.0, 0.05, -0.0002), abs=1e-9)
 
@@ -209,15 +232,14 @@ def test_fit_is_least_squares_optimal():
     rng = np.random.default_rng(43)
     ys = np.arange(0, 40, dtype=np.float64)
     xs = 25.0 - 0.1 * ys + rng.normal(0, 1.0, size=ys.size)
-    samples = [MidpointSample(int(y), float(x), 1) for y, x in zip(ys, xs)]
-    axis = fit_axis_lsm(samples, 1)
-    best = sum((s.x_mid - axis.at(s.y)) ** 2 for s in samples)
+    axis = fit_axis_lsm(np.column_stack((ys, xs)), 1)
+    best = sum((x - axis.at(y)) ** 2 for y, x in zip(ys, xs))
     for _ in range(100):
         direction = rng.normal(size=2)
         direction /= np.linalg.norm(direction)
         magnitude = 10 ** rng.uniform(-3, 0)
         c = np.array(axis.coeffs) + magnitude * direction
-        ssr = sum((s.x_mid - (c[0] + c[1] * s.y)) ** 2 for s in samples)
+        ssr = sum((x - (c[0] + c[1] * y)) ** 2 for y, x in zip(ys, xs))
         assert best <= ssr
 
 
@@ -249,7 +271,7 @@ def test_symmetric_mask_gives_exact_axis():
 # reflection
 
 def test_reflect_examples_and_involution():
-    samples = [MidpointSample(y, 20.0, 1) for y in range(4)]
+    samples = np.array([[y, 20.0] for y in range(4)])
     axis = fit_axis_lsm(samples, 1)
     assert reflect_x(axis, 20.0, 0) == pytest.approx(20.0)
     assert reflect_x(axis, 15.0, 2) == pytest.approx(25.0)
