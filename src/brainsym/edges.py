@@ -96,14 +96,31 @@ def gradient(img: GrayImage, operator: str) -> GradientField:
 def _direction_bins(orientation: np.ndarray) -> np.ndarray:
     """Quantize gradient directions to 4 bins: 0=0deg, 1=45, 2=90, 3=135.
 
-    Boundary angles go to the lower bin (22.5deg itself counts as bin 0).
+    The angle a in degrees is folded onto [0, 180] and the bin is the
+    number of the bounds 22.5, 67.5, 112.5 and 157.5 that a exceeds,
+    modulo 4. Boundary angles go to the lower bin (22.5deg itself counts
+    as bin 0), and (157.5, 180] wraps to bin 0.
+
+    The fold gives the same bin as the plain ``a % 180.0`` for every a in
+    (-180, 180] degrees, the orientation range. For -180 < a < 0 numpy's
+    float remainder is fmod(a, 180), which is a itself, plus the divisor:
+    fl(a + 180), the very sum taken here. For 0 <= a < 180 both leave a
+    as it is. They part only at a = 180, which % maps to 0 and this keeps
+    at 180, at a = -180 (np.degrees of an angle just above -pi), where
+    both give 0, and at a = -0.0, which % maps to +0.0; all of these land
+    in bin 0, 180 because it exceeds all four bounds and 4 & 3 = 0.
     """
-    a = np.degrees(orientation) % 180.0
-    bins = np.full(a.shape, 3, dtype=np.int8)
-    bins[(a <= 22.5) | (a > 157.5)] = 0
-    bins[(a > 22.5) & (a <= 67.5)] = 1
-    bins[(a > 67.5) & (a <= 112.5)] = 2
+    a = np.degrees(orientation)
+    np.add(a, 180.0, out=a, where=a < 0)
+    bins = (a > 22.5).view(np.int8)
+    for bound in (67.5, 112.5, 157.5):
+        bins += (a > bound).view(np.int8)
+    bins &= 3
     return bins
+
+
+# rows per block in nonmax_suppress: bounds its intp index arrays
+_NMS_BLOCK_ROWS = 64
 
 
 def nonmax_suppress(field: GradientField) -> np.ndarray:
@@ -113,40 +130,38 @@ def nonmax_suppress(field: GradientField) -> np.ndarray:
     Exact-tie plateau pairs would survive twice under >=; of such a pair
     only the lexicographically smallest (y, x) pixel is kept, so plateau
     edges stay one pixel thin.
+
+    Both neighbors are read by one gather from the zero-padded magnitude:
+    in a padded row of width W the forward neighbor of bin 0, 1, 2, 3
+    (east, south-east, south, south-west) is 1, W+1, W, W-1 flat elements
+    on, and the backward one (west, north-west, north, north-east) as many
+    back. The gather copies the very values a per-bin selection picks, so
+    the comparisons and the output are the same. The backward neighbor
+    always precedes the pixel in (y, x) order, so the tie rule reads the
+    padded survivors at that same backward index. Rows go in blocks of
+    _NMS_BLOCK_ROWS: a block's survivors are stored before its tie lookup,
+    which reads only its own rows and the row above.
     """
     mag = field.magnitude
+    h, w = mag.shape
     bins = _direction_bins(field.orientation)
-    pm = np.pad(mag, 1, mode="constant", constant_values=0.0)
-    shape = mag.shape
-    east = _shifted(pm, 0, 1, shape)
-    west = _shifted(pm, 0, -1, shape)
-    south = _shifted(pm, 1, 0, shape)
-    north = _shifted(pm, -1, 0, shape)
-    se = _shifted(pm, 1, 1, shape)
-    nw = _shifted(pm, -1, -1, shape)
-    sw = _shifted(pm, 1, -1, shape)
-    ne = _shifted(pm, -1, 1, shape)
-
-    choices = [bins == 0, bins == 1, bins == 2, bins == 3]
-    fwd = np.select(choices, [east, se, south, sw])
-    bwd = np.select(choices, [west, nw, north, ne])
-    survivors = (mag >= fwd) & (mag >= bwd)
-
-    # tie rule: suppress a survivor whose lexicographically-preceding
-    # direction neighbor (the backward one in every bin) is a tied survivor
-    ps = np.pad(survivors, 1, mode="constant", constant_values=False)
-    prev_surv = np.select(
-        choices,
-        [
-            _shifted(ps, 0, -1, shape),
-            _shifted(ps, -1, -1, shape),
-            _shifted(ps, -1, 0, shape),
-            _shifted(ps, -1, 1, shape),
-        ],
-        default=False,
-    )
-    suppressed = survivors & prev_surv & (mag == bwd)
-    return survivors & ~suppressed
+    width = w + 2
+    steps = np.array([1, width + 1, width, width - 1], dtype=np.intp)
+    pm = np.pad(mag, 1, mode="constant", constant_values=0.0).ravel()
+    ps = np.zeros((h + 2, width), dtype=bool)
+    cols = np.arange(1, w + 1, dtype=np.intp)
+    out = np.empty((h, w), dtype=bool)
+    for y0 in range(0, h, _NMS_BLOCK_ROWS):
+        y1 = min(y0 + _NMS_BLOCK_ROWS, h)
+        m = mag[y0:y1]
+        step = steps[bins[y0:y1]]
+        centre = np.arange(y0 + 1, y1 + 1, dtype=np.intp)[:, None] * width + cols
+        back = centre - step
+        bwd = pm[back]
+        survivors = (m >= pm[centre + step]) & (m >= bwd)
+        ps[y0 + 1:y1 + 1, 1:w + 1] = survivors
+        out[y0:y1] = survivors & ~(ps.ravel()[back] & (m == bwd))
+    return out
 
 
 def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> EdgeMap:

@@ -213,14 +213,33 @@ def gaussian_smooth(img: GrayImage, sigma: float) -> GrayImage:
 
 
 def median_filter(img: GrayImage, window: int) -> GrayImage:
-    """Exact window x window median, reflected borders; window odd and >= 3."""
+    """Exact window x window median, reflected borders; window odd and >= 3.
+
+    A rank select on the 8-bit values, most significant bit first. The
+    median of the n = window² values is the largest v whose count of
+    window values < v is at most n // 2; that count grows with v, so v is
+    built bit by bit, keeping each bit whose trial value still passes.
+    Each of the 8 passes counts over the window² shifted views of the
+    padded raster, so memory is O(N) and time O(8 N window²).
+    """
     if window < 3 or window % 2 == 0:
         raise ParameterError(f"median window must be odd and >= 3, got {window}")
     radius = window // 2
     padded = np.pad(img.pixels, radius, mode="reflect")
-    windows = sliding_window_view(padded, (window, window))
-    med = np.median(windows, axis=(2, 3))
-    return GrayImage(med.astype(np.uint8))
+    h, w = img.pixels.shape
+    rank = window * window // 2
+    med = np.zeros((h, w), dtype=np.uint8)
+    below = np.empty((h, w), dtype=bool)
+    count = np.empty((h, w), dtype=np.min_scalar_type(window * window))
+    for bit in (128, 64, 32, 16, 8, 4, 2, 1):
+        trial = med | bit
+        count.fill(0)
+        for dy in range(window):
+            for dx in range(window):
+                np.less(padded[dy:dy + h, dx:dx + w], trial, out=below)
+                count += below
+        np.copyto(med, trial, where=count <= rank)
+    return GrayImage(med)
 
 
 def contrast_stretch(img: GrayImage) -> GrayImage:

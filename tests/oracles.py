@@ -88,6 +88,69 @@ def brute_row_midpoints(mask, min_span, require_mid_on_mask=False):
     return pairs
 
 
+def brute_direction_bins(orientation):
+    """The 4-bin direction quantizer as first specified: fold the angle
+    in degrees with % 180, then bin 0 is [0, 22.5] and (157.5, 180),
+    bin 1 (22.5, 67.5], bin 2 (67.5, 112.5] and bin 3 (112.5, 157.5]."""
+    a = np.degrees(orientation) % 180.0
+    bins = np.full(a.shape, 3, dtype=np.int8)
+    bins[(a <= 22.5) | (a > 157.5)] = 0
+    bins[(a > 22.5) & (a <= 67.5)] = 1
+    bins[(a > 67.5) & (a <= 112.5)] = 2
+    return bins
+
+
+# forward neighbor (dy, dx) per direction bin; the backward one is its negation
+_NMS_FORWARD = ((0, 1), (1, 1), (1, 0), (1, -1))
+
+
+def brute_nonmax(magnitude, orientation):
+    """Non-maximum suppression one pixel at a time.
+
+    A pixel survives when its magnitude is >= both neighbors along its
+    binned direction, off-raster neighbors reading 0. A survivor is then
+    dropped when its backward neighbor, the one earlier in (y, x) order,
+    is also a survivor with exactly the same magnitude.
+    """
+    mag = np.asarray(magnitude)
+    bins = brute_direction_bins(orientation)
+    height, width = mag.shape
+
+    def at(y, x):
+        return mag[y, x] if 0 <= y < height and 0 <= x < width else 0.0
+
+    survivors = np.zeros((height, width), dtype=bool)
+    for y in range(height):
+        for x in range(width):
+            dy, dx = _NMS_FORWARD[bins[y, x]]
+            m = mag[y, x]
+            survivors[y, x] = m >= at(y + dy, x + dx) and m >= at(y - dy, x - dx)
+    out = survivors.copy()
+    for y in range(height):
+        for x in range(width):
+            dy, dx = _NMS_FORWARD[bins[y, x]]
+            by, bx = y - dy, x - dx
+            if (survivors[y, x] and 0 <= by < height and 0 <= bx < width
+                    and survivors[by, bx] and mag[by, bx] == mag[y, x]):
+                out[y, x] = False
+    return out
+
+
+def brute_median(pixels, window):
+    """Window x window median per pixel: the middle of the sorted values
+    of the reflect-padded neighborhood."""
+    raw = np.asarray(pixels)
+    r = window // 2
+    padded = np.pad(raw, r, mode="reflect")
+    height, width = raw.shape
+    out = np.zeros((height, width), dtype=np.uint8)
+    for y in range(height):
+        for x in range(width):
+            values = sorted(padded[y:y + window, x:x + window].ravel().tolist())
+            out[y, x] = values[len(values) // 2]
+    return out
+
+
 def brute_asymmetry(mask, axis, tol):
     """Full (2 tol + 1)^2 window search around each edge pixel's mirror.
 

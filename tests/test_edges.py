@@ -15,7 +15,9 @@ from brainsym import (
     threshold_edges,
 )
 
-from oracles import popcount_scan, reaches_strong
+from brainsym.edges import _NMS_BLOCK_ROWS, GradientField, _direction_bins
+
+from oracles import brute_direction_bins, brute_nonmax, popcount_scan, reaches_strong
 
 
 def vertical_step(size=32, level=255):
@@ -145,6 +147,68 @@ def test_canny_mirror_equivariance():
         a = canny(img, 1.0, 0.1, 0.2).mask
         b = canny(mirrored, 1.0, 0.1, 0.2).mask
         assert np.array_equal(np.fliplr(a), b)
+
+
+# ---------------------------------------------------------------------------
+# direction bins and non-maximum suppression against the brute-force oracles
+
+def _boundary_orientations():
+    """Radians at and 1..3 ulps either side of every bin bound, +-22.5,
+    +-67.5, +-112.5 and +-157.5 degrees, plus 0, -0.0 and +-pi."""
+    values = [0.0, -0.0, math.pi, -math.pi]
+    for deg in (22.5, 67.5, 112.5, 157.5):
+        for sign in (1.0, -1.0):
+            for toward in (math.inf, -math.inf):
+                r = np.float64(math.radians(sign * deg))
+                for _ in range(4):
+                    values.append(float(r))
+                    r = np.nextafter(r, toward)
+    return np.array(values)
+
+
+def _nms_cases():
+    rng = np.random.default_rng(29)
+    cases = []
+    for h, w in [(1, 1), (1, 5), (4, 1), (2, 2), (3, 7), (9, 4), (13, 13), (20, 20)]:
+        cases.append((f"random-{h}x{w}", rng.random((h, w)), rng.uniform(-math.pi, math.pi, (h, w))))
+    for h, w in [(6, 6), (11, 17), (20, 20)]:
+        # integer magnitudes and directions on the bin centres force plateaus
+        mag = rng.integers(0, 3, size=(h, w)).astype(np.float64)
+        ori = rng.integers(-3, 5, size=(h, w)) * (math.pi / 4)
+        cases.append((f"plateau-{h}x{w}", mag, ori))
+    # taller than one row block, height not a multiple of the block size
+    h, w = 2 * _NMS_BLOCK_ROWS + 22, 37
+    cases.append((f"blocks-{h}x{w}", rng.integers(0, 4, size=(h, w)).astype(np.float64),
+                  rng.integers(-3, 5, size=(h, w)) * (math.pi / 4)))
+    cases.append((f"blocks-random-{h}x{w}", rng.random((h, w)), rng.uniform(-math.pi, math.pi, (h, w))))
+    bounds = _boundary_orientations()
+    cases.append(("bounds", rng.integers(0, 3, size=(3, bounds.size)).astype(np.float64),
+                  np.tile(bounds, (3, 1))))
+    return cases
+
+
+NMS_CASES = _nms_cases()
+
+
+@pytest.mark.parametrize("case", NMS_CASES, ids=[name for name, _, _ in NMS_CASES])
+def test_direction_bins_match_spec(case):
+    _, _, ori = case
+    assert np.array_equal(_direction_bins(ori), brute_direction_bins(ori))
+
+
+def test_direction_bound_22_5_degrees_stays_in_bin_0():
+    ori = _boundary_orientations()
+    bins = _direction_bins(ori)
+    on_bound = np.degrees(ori) == 22.5
+    assert on_bound.any()
+    assert np.all(bins[on_bound] == 0)
+
+
+@pytest.mark.parametrize("case", NMS_CASES, ids=[name for name, _, _ in NMS_CASES])
+def test_nonmax_matches_brute_force(case):
+    _, mag, ori = case
+    field = GradientField(mag, mag, mag, ori)
+    assert np.array_equal(nonmax_suppress(field), brute_nonmax(mag, ori))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Golden digests: the exact report and overlay bytes of `brainsym detect`.
 
-Each case writes a 257x257 phantom as PGM, runs the CLI's detect command
+Each case writes a phantom as PGM, runs the CLI's detect command
 in-process and compares the sha256 of `<stem>.report.json` and
 `<stem>.overlay.ppm` with a pinned value. A refactor or speed-up that
 keeps these digests changes no output byte on these inputs; a change
 that is meant to alter output must update the table and say why.
+
+The phantoms are 257x257 but for one 513x513 lesioned case, whose
+lesion edge spans rows 236..276 and so crosses the row-block seam at
+row 256 of the non-maximum suppression.
 """
 
 import hashlib
@@ -29,6 +33,11 @@ WIDE_FLAGS = ["--axis-degree", "2", "--mirror-tol", "4", "--closing-radius", "4"
 # case -> (phantom, extra CLI flags)
 CASES = {name: (spec, []) for name, spec in {**HEALTHY, **LESIONED}.items()}
 CASES["lesion-24-wide"] = (LESIONED["lesion-24"], WIDE_FLAGS)
+CASES["lesion-31-513"] = (
+    PhantomSpec(width=513, height=513, seed=31, semi_axis_x=200, semi_axis_y=240,
+                lesion=LesionSpec(80, 256, 20, 60)),
+    [],
+)
 
 # case -> (sha256 of report JSON, sha256 of overlay PPM)
 GOLDEN = {
@@ -75,6 +84,10 @@ GOLDEN = {
     "lesion-25": (
         "24b1759ec700862371637cfb36227b61bb1e88efb6736a46d593ccd4a2959394",
         "437a06a972019e8877bc44dc834f999c6f41f81629120955ac461148272ff73d",
+    ),
+    "lesion-31-513": (
+        "0cae60e140db980d18ee313dd753fa89ce8cef0c8c373a85c4ff6514c61b4c43",
+        "7de9294f8a529c778aa2a87b44098db0f535bc500420c8519e5373d2d220a765",
     ),
 }
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from brainsym import (
     smooth_raster,
 )
 
-from oracles import gaussian_kernel_oracle
+from oracles import brute_median, gaussian_kernel_oracle
 
 
 def test_round_half_away():
@@ -194,6 +196,38 @@ def test_median_values_come_from_windows():
             window = padded[y:y + 3, x:x + 3].ravel()
             assert out.pixels[y, x] in window
             assert out.pixels[y, x] == sorted(window)[4]
+
+
+def _median_case(h, w, seed):
+    raw = np.random.default_rng(seed).integers(0, 256, size=(h, w), dtype=np.uint8)
+    raw.flat[0] = 0
+    raw.flat[-1] = 255
+    return raw
+
+
+@pytest.mark.parametrize("window", [3, 5, 9, 21, 41])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (2, 3), (5, 5), (7, 12), (20, 20)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_median_matches_brute_force(shape, window):
+    raw = _median_case(*shape, seed=shape[0] * 100 + shape[1])
+    assert np.array_equal(median_filter(GrayImage(raw), window).pixels, brute_median(raw, window))
+
+
+def test_median_matches_brute_force_past_16_bit_counts():
+    # 257^2 = 66049 window values; every first trial (128) exceeds them all
+    raw = np.arange(9, dtype=np.uint8).reshape(3, 3) * 11
+    assert np.array_equal(median_filter(GrayImage(raw), 257).pixels, brute_median(raw, 257))
+
+
+def test_median_memory_is_linear_in_pixels():
+    raw = _median_case(64, 64, seed=5)
+    tracemalloc.start()
+    try:
+        median_filter(GrayImage(raw), 63)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("window", [1, 2, 4, 0, -3])
