@@ -275,3 +275,41 @@ def gaussian_kernel_oracle(sigma):
         ]
     )
     return k / k.sum()
+
+
+def brute_generate(spec):
+    """Phantom pixels and lesion mask by one Lcg64 draw per left-half
+    ellipse pixel, in row-major order: the per-pixel loop that defines
+    the noise stream. Lcg64 is the stream's specification, not the block
+    jump-ahead it checks. The spec is assumed valid."""
+    from brainsym.phantom import BACKGROUND, TISSUE, Lcg64
+
+    w, h = spec.width, spec.height
+    cx = (w - 1) / 2.0
+    cy = (h - 1) / 2.0
+    ys, xs = np.ogrid[0:h, 0:w]
+    ellipse = ((xs - cx) / spec.semi_axis_x) ** 2 + ((ys - cy) / spec.semi_axis_y) ** 2 <= 1.0
+
+    img = np.full((h, w), BACKGROUND, dtype=np.uint8)
+    rng = Lcg64(spec.seed)
+    amp = spec.noise_amplitude
+    left_cols = (w + 1) // 2
+    for y in range(h):
+        row_ellipse = ellipse[y]
+        row = img[y]
+        for x in range(left_cols):
+            if row_ellipse[x]:
+                value = TISSUE + rng.uniform_int(-amp, amp)
+                row[x] = value
+                row[w - 1 - x] = value
+
+    lesion_mask = np.zeros((h, w), dtype=bool)
+    if spec.lesion is not None:
+        lx = cx + spec.lesion.center_dx
+        ly = float(spec.lesion.center_y)
+        dist2 = (xs - lx) ** 2 + (ys - ly) ** 2
+        lesion_mask = dist2 <= spec.lesion.radius ** 2
+        value = min(255, max(0, TISSUE + spec.lesion.delta))
+        img[lesion_mask] = value
+
+    return img, lesion_mask

@@ -2,15 +2,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from brainsym import (
     GrayImage,
+    LesionSpec,
     NetpbmError,
     ParameterError,
+    PhantomSpec,
     RgbImage,
     contrast_stretch,
     gaussian_kernel,
     gaussian_smooth,
+    generate,
     load_netpbm,
     median_filter,
     rgb_to_gray,
@@ -18,6 +24,7 @@ from brainsym import (
     save_netpbm,
     smooth_raster,
 )
+from brainsym.imaging import _median_rank_select
 
 from oracles import brute_median, gaussian_kernel_oracle
 
@@ -234,6 +241,59 @@ def test_median_memory_is_linear_in_pixels():
 def test_median_window_validation(window):
     with pytest.raises(ParameterError):
         median_filter(GrayImage([[1, 2], [3, 4]]), window)
+
+
+def _median3_sweep_cases():
+    rng = np.random.default_rng(2024)
+    cases = [np.full((h, w), v, dtype=np.uint8) for h, w, v in [(1, 1, 0), (4, 7, 255), (9, 3, 77)]]
+    cases += [rng.integers(0, 256, size=(1, n), dtype=np.uint8) for n in range(1, 34)]
+    cases += [rng.integers(0, 256, size=(n, 1), dtype=np.uint8) for n in range(1, 41)]
+    for _ in range(130):
+        h, w = int(rng.integers(1, 41)), int(rng.integers(1, 34))
+        levels = int(rng.choice([2, 3, 4, 256]))
+        palette = np.sort(rng.choice(256, size=levels, replace=False)).astype(np.uint8)
+        palette[0], palette[-1] = 0, 255
+        cases.append(palette[rng.integers(0, levels, size=(h, w))])
+    cases.append(rng.integers(0, 256, size=(40, 33), dtype=np.uint8))
+    return cases
+
+
+def test_median3_network_matches_brute_force_sweep():
+    cases = _median3_sweep_cases()
+    assert len(cases) >= 200
+    for raw in cases:
+        assert np.array_equal(median_filter(GrayImage(raw), 3).pixels, brute_median(raw, 3)), raw
+
+
+def test_median3_network_matches_rank_select_on_stressed_phantom():
+    img, _ = generate(PhantomSpec(width=1025, height=1025, seed=7, semi_axis_x=400,
+                                  semi_axis_y=480, lesion=LesionSpec(-160, 560, 40, 60)))
+    rng = np.random.default_rng(7)
+    ramp = np.linspace(0.9, 1.1, 1025)
+    raw = img.pixels * ramp[:, None] + rng.integers(-8, 9, size=(1025, 1025))
+    raw = np.clip(np.floor(raw + 0.5), 0, 255).astype(np.uint8)
+    padded = np.pad(raw, 1, mode="reflect")
+    assert np.array_equal(median_filter(GrayImage(raw), 3).pixels, _median_rank_select(padded, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.uint8, st.tuples(st.integers(1, 12), st.integers(1, 12))))
+def test_median3_network_property(raw):
+    assert np.array_equal(median_filter(GrayImage(raw), 3).pixels, brute_median(raw, 3))
+
+
+def test_median3_memory_at_513():
+    # 1.51 MiB was the peak of the rank select on this raster
+    img, _ = generate(PhantomSpec(width=513, height=513, seed=7, semi_axis_x=200,
+                                  semi_axis_y=240, lesion=LesionSpec(80, 256, 20, 60)))
+    median_filter(img, 3)
+    tracemalloc.start()
+    try:
+        median_filter(img, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.51 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,9 @@ from brainsym import (
     PhantomSpec,
     generate,
 )
+from brainsym.phantom import _JUMP_BLOCK, _lcg_blocks
+
+from oracles import brute_generate
 
 
 def test_lcg_is_reproducible():
@@ -109,3 +114,79 @@ def test_generate_returns_gray_image():
     img, _ = generate(PhantomSpec(seed=1))
     assert isinstance(img, GrayImage)
     assert (img.width, img.height) == (257, 257)
+
+
+# ---------------------------------------------------------------------------
+# block jump-ahead noise against the per-pixel Lcg64 loop
+
+SEEDS = [0, 1, 2**63, 2**64 - 1, -1, 2**64 + 5]
+
+
+def _draw_count(spec):
+    ys, xs = np.ogrid[0:spec.height, 0:(spec.width + 1) // 2]
+    cx, cy = (spec.width - 1) / 2.0, (spec.height - 1) / 2.0
+    return int(np.count_nonzero(
+        ((xs - cx) / spec.semi_axis_x) ** 2 + ((ys - cy) / spec.semi_axis_y) ** 2 <= 1.0))
+
+
+def _assert_matches_brute(spec):
+    img, truth = generate(spec)
+    pixels, lesion_mask = brute_generate(spec)
+    assert np.array_equal(img.pixels, pixels)
+    assert np.array_equal(truth.lesion_mask, lesion_mask)
+
+
+@pytest.mark.parametrize("amp", [0, 95])
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("width", [47, 48])
+def test_generate_matches_per_pixel_lcg(width, seed, amp):
+    _assert_matches_brute(PhantomSpec(width=width, height=41, seed=seed, semi_axis_x=19,
+                                      semi_axis_y=15, noise_amplitude=amp))
+
+
+@pytest.mark.parametrize(
+    "shape, draws",
+    [
+        ((153, 81, 72, 36), _JUMP_BLOCK - 1),
+        ((135, 91, 63, 41), _JUMP_BLOCK),
+        ((94, 133, 42, 62), _JUMP_BLOCK),
+        ((149, 83, 70, 37), _JUMP_BLOCK + 1),
+        ((257, 257, 100, 120), 18_959),
+    ],
+    ids=["B-1", "B-odd", "B-even", "B+1", "several-blocks"],
+)
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_generate_matches_per_pixel_lcg_at_block_edges(shape, draws, seed):
+    width, height, ax, ay = shape
+    spec = PhantomSpec(width=width, height=height, seed=seed, semi_axis_x=ax, semi_axis_y=ay,
+                       noise_amplitude=95, lesion=LesionSpec(-ax // 3, height // 2, 5, 70))
+    assert _draw_count(spec) == draws
+    _assert_matches_brute(spec)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_block_draws_equal_next_bits(seed):
+    count = 3 * _JUMP_BLOCK + 5
+    blocks = [bits.copy() for bits in _lcg_blocks(seed, count)]
+    assert [b.size for b in blocks] == [_JUMP_BLOCK] * 3 + [5]
+    rng = Lcg64(seed)
+    assert np.concatenate(blocks).tolist() == [rng.next_bits() for _ in range(count)]
+
+
+def test_no_draws_for_zero_count():
+    assert list(_lcg_blocks(1, 0)) == []
+
+
+def test_generate_memory_at_513():
+    # the per-pixel loop with full-raster float temporaries peaked at 3.02 MiB;
+    # drawing all ~95k values at once instead of in blocks peaks at about 3 MiB
+    spec = PhantomSpec(width=513, height=513, seed=7, semi_axis_x=200, semi_axis_y=240,
+                       lesion=LesionSpec(80, 256, 20, 60))
+    generate(spec)
+    tracemalloc.start()
+    try:
+        generate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
