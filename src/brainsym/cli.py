@@ -21,6 +21,7 @@ import numpy as np
 from .detect import (
     DetectionResult,
     PipelineConfig,
+    _paint_overlay,
     detect_pipeline,
     fit_image_axis,
     preprocess,
@@ -30,7 +31,6 @@ from .edges import OPERATORS, canny, gradient, threshold_edges
 from .errors import GeometryError, NetpbmError, ParameterError, PipelineError
 from .imaging import GrayImage, RgbImage, load_netpbm, rgb_to_gray, save_netpbm
 from .phantom import LesionSpec, PhantomSpec, generate
-from .symmetry import SymmetryAxis
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,8 +43,6 @@ def _fmt(value: float) -> str:
 
 
 def _json_number(value):
-    if isinstance(value, bool):
-        return value
     if isinstance(value, (int, np.integer)):
         return int(value)
     return float(f"{float(value):.6g}")
@@ -110,21 +108,12 @@ def cmd_edges(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _axis_overlay(img: GrayImage, axis: SymmetryAxis) -> RgbImage:
-    empty = DetectionResult(
-        width=img.width, height=img.height, axis=axis, regions=[],
-        total_area_px=0, total_area_mm2=0.0, verdict="not-found",
-        message=None, edge_count=0,
-    )
-    return render_overlay(img, empty)
-
-
 def cmd_axis(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     img = _load_gray(args.input)
     axis = fit_image_axis(preprocess(img, config), config)
     print(" ".join(f"c{i}={_fmt(c)}" for i, c in enumerate(axis.coeffs)))
-    save_netpbm(_axis_overlay(img, axis), args.output)
+    save_netpbm(_paint_overlay(img, axis, []), args.output)
     return EXIT_OK
 
 

@@ -286,19 +286,23 @@ def render_overlay(img: GrayImage, result: DetectionResult) -> RgbImage:
 
     Drawn in that order, so region pixels paint over everything else.
     """
+    return _paint_overlay(img, result.axis, result.regions)
+
+
+def _paint_overlay(img: GrayImage, axis: SymmetryAxis, regions: list[Region]) -> RgbImage:
     rgb = np.repeat(img.pixels[:, :, None], 3, axis=2).copy()
     height, width = img.pixels.shape
     rows = np.arange(height)
-    cols = round_half_away(result.axis.at(rows)).astype(np.int64)
+    cols = round_half_away(axis.at(rows)).astype(np.int64)
     ok = (cols >= 0) & (cols < width)
     rgb[rows[ok], cols[ok]] = AXIS_COLOR
-    for region in result.regions:
+    for region in regions:
         x0, y0, x1, y1 = region.bbox
         rgb[y0, x0:x1 + 1] = BBOX_COLOR
         rgb[y1, x0:x1 + 1] = BBOX_COLOR
         rgb[y0:y1 + 1, x0] = BBOX_COLOR
         rgb[y0:y1 + 1, x1] = BBOX_COLOR
-    for region in result.regions:
+    for region in regions:
         for x, y in region.pixels:
             rgb[y, x] = REGION_COLOR
     return RgbImage(rgb)

@@ -46,23 +46,20 @@ class EdgeMap:
         return int(self.mask.sum())
 
 
-def _shifted(padded: np.ndarray, dy: int, dx: int, shape: tuple[int, int]) -> np.ndarray:
-    h, w = shape
-    return padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
-
-
 def gradient_raster(values: np.ndarray, operator: str) -> GradientField:
     """Gradient of a float raster; see gradient() for the uint8 wrapper."""
     a = np.asarray(values, dtype=np.float64)
     if operator in ("sobel", "prewitt"):
         side = 2.0 if operator == "sobel" else 1.0
         p = np.pad(a, 1, mode="reflect")
-
-        def s(dy, dx):
-            return _shifted(p, dy, dx, a.shape)
-
-        gx = (s(-1, 1) + side * s(0, 1) + s(1, 1)) - (s(-1, -1) + side * s(0, -1) + s(1, -1))
-        gy = (s(1, -1) + side * s(1, 0) + s(1, 1)) - (s(-1, -1) + side * s(-1, 0) + s(-1, 1))
+        # central differences of [1, side, 1] sums (the 3x3 additions, in order), one sum at a time
+        sums = p[:-2] + side * p[1:-1]
+        sums += p[2:]
+        gx = sums[:, 2:] - sums[:, :-2]
+        sums = p[:, :-2] + side * p[:, 1:-1]
+        sums += p[:, 2:]
+        gy = sums[2:] - sums[:-2]
+        del sums
     elif operator == "roberts":
         p = np.pad(a, ((0, 1), (0, 1)), mode="reflect")
         gx = p[:-1, :-1] - p[1:, 1:]
@@ -71,7 +68,7 @@ def gradient_raster(values: np.ndarray, operator: str) -> GradientField:
         raise ParameterError(f"unknown operator {operator!r}; valid: {', '.join(OPERATORS)}")
     magnitude = np.hypot(gx, gy)
     orientation = np.arctan2(gy, gx)
-    orientation = np.where(orientation == -np.pi, np.pi, orientation)
+    orientation[orientation == -np.pi] = np.pi
     return GradientField(gx, gy, magnitude, orientation)
 
 
@@ -186,11 +183,12 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
     high = high_frac * max_mag
     weak = survivors & (field.magnitude >= low)
     strong = weak & (field.magnitude >= high)
-    if not strong.any():
-        return EdgeMap(np.zeros(img.pixels.shape, dtype=bool))
-    labels, _ = ndimage.label(weak, structure=EIGHT_CONNECTED)
-    keep = np.unique(labels[strong])
-    return EdgeMap(np.isin(labels, keep) & weak)
+    labels, count = ndimage.label(weak, structure=EIGHT_CONNECTED)
+    keep = np.zeros(count + 1, dtype=bool)
+    keep[labels[strong]] = True
+    edges = np.zeros_like(weak)
+    edges[weak] = keep[labels[weak]]  # weak pixels only: keep[labels] casts all to intp
+    return EdgeMap(edges)
 
 
 def threshold_edges(field: GradientField, frac: float) -> EdgeMap:

@@ -110,7 +110,10 @@ def _int_token(data: bytes, pos: int, field: str) -> tuple[int, int]:
     tok, pos = _next_token(data, pos, field)
     if not tok.isdigit():
         raise NetpbmError(field, f"expected a decimal integer, got {tok!r}")
-    return int(tok), pos
+    try:
+        return int(tok), pos
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise NetpbmError(field, f"integer of {len(tok)} digits is too long") from None
 
 
 def load_netpbm(path) -> GrayImage | RgbImage:

@@ -9,7 +9,6 @@ that symmetry and is recorded pixel-exactly in the ground truth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,15 +61,11 @@ _JUMP_BLOCK = 4096
 
 
 def _jump_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """A**k and C * (A**k - 1) / (A - 1), mod 2**64, for k = 1..n."""
-    mult = np.empty(n, dtype=np.uint64)
-    inc = np.empty(n, dtype=np.uint64)
-    a, c = 1, 0
-    for k in range(n):
-        a = (a * Lcg64.MULTIPLIER) & Lcg64.MASK
-        c = (c * Lcg64.MULTIPLIER + Lcg64.INCREMENT) & Lcg64.MASK
-        mult[k] = a
-        inc[k] = c
+    """A**k and C * (A**k - 1) / (A - 1) = C * (1 + A + ... + A**(k-1)),
+    for k = 1..n, exact mod 2**64 by numpy's uint64 wrap-around."""
+    mult = np.cumprod(np.full(n, Lcg64.MULTIPLIER, dtype=np.uint64))
+    powers = np.concatenate((np.ones(1, dtype=np.uint64), mult[:-1]))
+    inc = np.cumsum(powers) * np.uint64(Lcg64.INCREMENT)
     return mult, inc
 
 
@@ -124,6 +119,30 @@ class GroundTruth:
     lesion_mask: np.ndarray  # bool raster, all False when no lesion
 
 
+def _ellipse(spec: PhantomSpec, ys, xs) -> np.ndarray:
+    """Whether pixels (ys, xs) lie in the skull ellipse."""
+    cx, cy = (spec.width - 1) / 2.0, (spec.height - 1) / 2.0
+    return ((xs - cx) / spec.semi_axis_x) ** 2 + ((ys - cy) / spec.semi_axis_y) ** 2 <= 1.0
+
+
+def _lesion_disk(spec: PhantomSpec) -> tuple[tuple[slice, slice], np.ndarray]:
+    """The lesion's bounding box as slices, not clipped to the raster, and
+    its disk mask over the box. A box that leaves the raster is rejected
+    before the mask is built; a disk inside the skull ellipse, 4 px from
+    every border, has its whole box inside the raster."""
+    lesion = spec.lesion
+    w, r = spec.width, lesion.radius
+    # ceil(lx - r) and floor(lx + r) + 1 for the centre column lx, in integers
+    x0, x1 = w // 2 + lesion.center_dx - r, (w - 1) // 2 + lesion.center_dx + r + 1
+    y0, y1 = lesion.center_y - r, lesion.center_y + r + 1
+    if x0 < 0 or y0 < 0 or x1 > w or y1 > spec.height:
+        raise ParameterError("lesion disk must lie entirely inside the skull ellipse")
+    box = (slice(y0, y1), slice(x0, x1))
+    by, bx = np.ogrid[box]
+    lx = (w - 1) / 2.0 + lesion.center_dx
+    return box, (bx - lx) ** 2 + (by - float(lesion.center_y)) ** 2 <= r ** 2
+
+
 def _validate(spec: PhantomSpec) -> None:
     if spec.width < 1 or spec.height < 1:
         raise ParameterError(f"raster must be at least 1x1, got {spec.width}x{spec.height}")
@@ -148,15 +167,8 @@ def _validate(spec: PhantomSpec) -> None:
         raise ParameterError(f"lesion radius must be >= 1, got {lesion.radius}")
     if abs(lesion.delta) < 1:
         raise ParameterError(f"lesion delta must satisfy |delta| >= 1, got {lesion.delta}")
-    lx = cx + lesion.center_dx
-    ly = lesion.center_y
-    r = lesion.radius
-    dy, dx = np.ogrid[-r:r + 1, -r:r + 1]
-    in_disk = dx * dx + dy * dy <= r * r
-    px = lx + dx
-    py = ly + dy
-    inside = ((px - cx) / spec.semi_axis_x) ** 2 + ((py - cy) / spec.semi_axis_y) ** 2 <= 1.0
-    if not np.all(inside[in_disk]):
+    box, disk = _lesion_disk(spec)
+    if not np.all(_ellipse(spec, *np.ogrid[box])[disk]):
         raise ParameterError("lesion disk must lie entirely inside the skull ellipse")
 
 
@@ -172,11 +184,9 @@ def generate(spec: PhantomSpec) -> tuple[GrayImage, GroundTruth]:
     """
     _validate(spec)
     w, h = spec.width, spec.height
-    cx = (w - 1) / 2.0
-    cy = (h - 1) / 2.0
     left_cols = (w + 1) // 2
     ys, xs = np.ogrid[0:h, 0:left_cols]
-    ellipse = ((xs - cx) / spec.semi_axis_x) ** 2 + ((ys - cy) / spec.semi_axis_y) ** 2 <= 1.0
+    ellipse = _ellipse(spec, ys, xs)
 
     amp = spec.noise_amplitude
     values = np.empty(int(np.count_nonzero(ellipse)), dtype=np.uint8)
@@ -195,15 +205,8 @@ def generate(spec: PhantomSpec) -> tuple[GrayImage, GroundTruth]:
 
     lesion_mask = np.zeros((h, w), dtype=bool)
     if spec.lesion is not None:
-        lx = cx + spec.lesion.center_dx
-        ly = spec.lesion.center_y
-        r = spec.lesion.radius
-        # only the disk's bounding box can hold pixels within r of its centre
-        x0, x1 = max(0, math.ceil(lx - r)), min(w, math.floor(lx + r) + 1)
-        y0, y1 = max(0, ly - r), min(h, ly + r + 1)
-        by, bx = np.ogrid[y0:y1, x0:x1]
-        disk = (bx - lx) ** 2 + (by - float(ly)) ** 2 <= r ** 2
-        lesion_mask[y0:y1, x0:x1] = disk
-        img[y0:y1, x0:x1][disk] = min(255, max(0, TISSUE + spec.lesion.delta))
+        box, disk = _lesion_disk(spec)
+        lesion_mask[box] = disk
+        img[box][disk] = min(255, max(0, TISSUE + spec.lesion.delta))
 
-    return GrayImage(img), GroundTruth(axis_column=cx, lesion_mask=lesion_mask)
+    return GrayImage(img), GroundTruth(axis_column=(w - 1) / 2.0, lesion_mask=lesion_mask)

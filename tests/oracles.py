@@ -88,6 +88,45 @@ def brute_row_midpoints(mask, min_span, require_mid_on_mask=False):
     return pairs
 
 
+def _reflect(i, n):
+    """Index i of a length-n axis under reflect padding (edge not repeated)."""
+    if n == 1:
+        return 0
+    if i < 0:
+        return -i
+    if i >= n:
+        return 2 * (n - 1) - i
+    return i
+
+
+def brute_gradient(values, operator):
+    """Sobel or prewitt gx and gy by the direct 3x3 correlation, one pixel
+    at a time on reflected borders, with each sum taken in this order:
+
+        gx = (p[y-1, x+1] + side * p[y, x+1] + p[y+1, x+1])
+             - (p[y-1, x-1] + side * p[y, x-1] + p[y+1, x-1])
+        gy = (p[y+1, x-1] + side * p[y+1, x] + p[y+1, x+1])
+             - (p[y-1, x-1] + side * p[y-1, x] + p[y-1, x+1])
+
+    with side 2.0 for sobel and 1.0 for prewitt."""
+    a = np.asarray(values, dtype=np.float64)
+    side = 2.0 if operator == "sobel" else 1.0
+    height, width = a.shape
+
+    def p(y, x):
+        return a[_reflect(y, height), _reflect(x, width)]
+
+    gx = np.empty((height, width))
+    gy = np.empty((height, width))
+    for y in range(height):
+        for x in range(width):
+            gx[y, x] = ((p(y - 1, x + 1) + side * p(y, x + 1) + p(y + 1, x + 1))
+                        - (p(y - 1, x - 1) + side * p(y, x - 1) + p(y + 1, x - 1)))
+            gy[y, x] = ((p(y + 1, x - 1) + side * p(y + 1, x) + p(y + 1, x + 1))
+                        - (p(y - 1, x - 1) + side * p(y - 1, x) + p(y - 1, x + 1)))
+    return gx, gy
+
+
 def brute_direction_bins(orientation):
     """The 4-bin direction quantizer as first specified: fold the angle
     in degrees with % 180, then bin 0 is [0, 22.5] and (157.5, 180),

@@ -227,6 +227,16 @@ def test_detect_malformed_input_exit_4(tmp_path):
     assert "payload" in proc.stderr
 
 
+def test_detect_overlong_header_integer_exit_4(tmp_path):
+    bad = tmp_path / "long.pgm"
+    bad.write_bytes(b"P5 " + b"1" * 5000 + b" 1 255\n" + b"x")
+    outdir = tmp_path / "out"
+    proc = run_cli("detect", bad, "-d", outdir)
+    assert proc.returncode == 4
+    assert proc.stderr.splitlines() == ["error: width: integer of 5000 digits is too long"]
+    assert not outdir.exists()
+
+
 # ---------------------------------------------------------------------------
 # report
 

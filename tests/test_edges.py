@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ import pytest
 from brainsym import (
     EdgeMap,
     GrayImage,
+    LesionSpec,
     ParameterError,
+    PhantomSpec,
     canny,
+    generate,
     gradient,
     gradient_raster,
     nonmax_suppress,
@@ -17,7 +21,13 @@ from brainsym import (
 
 from brainsym.edges import _NMS_BLOCK_ROWS, GradientField, _direction_bins
 
-from oracles import brute_direction_bins, brute_nonmax, popcount_scan, reaches_strong
+from oracles import (
+    brute_direction_bins,
+    brute_gradient,
+    brute_nonmax,
+    popcount_scan,
+    reaches_strong,
+)
 
 
 def vertical_step(size=32, level=255):
@@ -86,6 +96,50 @@ def test_gradient_validation():
         gradient(GrayImage([[1]]), "roberts")
     with pytest.raises(ParameterError):
         gradient(GrayImage(np.zeros((5, 5), dtype=np.uint8)), "laplace")
+
+
+def _signed_raster(shape, seed, palette):
+    """Seeded float raster with negative values, +0.0 and -0.0. A palette
+    raster is 3x3 blocks of a few levels, so many sums are exact zeros,
+    of either sign, and the sign of each zero shows."""
+    rng = np.random.default_rng(seed)
+    if palette:
+        blocks = rng.choice(np.array([-0.0, 0.0, -1.0, 1.0, -2.5]),
+                            size=(shape[0] // 3 + 1, shape[1] // 3 + 1))
+        return np.kron(blocks, np.ones((3, 3)))[:shape[0], :shape[1]]
+    a = rng.normal(scale=60.0, size=shape)
+    a[rng.random(shape) < 0.15] = 0.0
+    a[rng.random(shape) < 0.15] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("palette", [False, True])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (2, 2), (3, 5), (16, 16), (40, 33)])
+@pytest.mark.parametrize("operator", ["sobel", "prewitt"])
+def test_gradient_matches_brute_force(operator, shape, palette):
+    values = _signed_raster(shape, shape[0] * 100 + shape[1], palette)
+    field = gradient_raster(values, operator)
+    gx, gy = brute_gradient(values, operator)
+    for got, want in ((field.gx, gx), (field.gy, gy)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_gradient_memory_at_513():
+    # 12,914,614 bytes was the peak of the direct 3x3 form on this raster;
+    # keeping both separable sums alive to the end peaks at 15.0 MB
+    img, _ = generate(PhantomSpec(width=513, height=513, seed=7, semi_axis_x=200,
+                                  semi_axis_y=240, lesion=LesionSpec(80, 256, 20, 60)))
+    smoothed = smooth_raster(img.pixels, 1.0)
+    for operator in ("sobel", "prewitt"):
+        gradient_raster(smoothed, operator)
+        tracemalloc.start()
+        try:
+            gradient_raster(smoothed, operator)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12_914_614, operator
 
 
 # ---------------------------------------------------------------------------

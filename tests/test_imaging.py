@@ -96,6 +96,11 @@ def test_load_with_comment_header(tmp_path):
         (b"P5\n1\n", "height"),
         (b"P5\n1 1\n254\n\x00", "maxval"),
         (b"P5\n4 4\n255\n" + bytes(15), "payload"),
+        # past the 4,300 digits int() parses
+        pytest.param(b"P5 " + b"1" * 5000 + b" 1 255\n" + b"x", "width",
+                     id="width-of-5000-digits"),
+        pytest.param(b"P5 1 1 " + b"0" * 4999 + b"255\n" + b"x", "maxval",
+                     id="maxval-of-5002-digits"),
     ],
 )
 def test_parse_errors_name_field(tmp_path, payload, field):

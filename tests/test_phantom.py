@@ -11,7 +11,7 @@ from brainsym import (
     PhantomSpec,
     generate,
 )
-from brainsym.phantom import _JUMP_BLOCK, _lcg_blocks
+from brainsym.phantom import _JUMP_BLOCK, _jump_table, _lcg_blocks
 
 from oracles import brute_generate
 
@@ -97,11 +97,46 @@ def test_lesion_delta_clamped():
         PhantomSpec(noise_amplitude=96),
         PhantomSpec(noise_amplitude=-1),
         PhantomSpec(semi_axis_x=0),
+        # even width: the disk's centre is a half-integer column and pixel
+        # (x 8, y 10) of this disk lies outside the skull
+        PhantomSpec(width=40, height=41, seed=1, semi_axis_x=15, semi_axis_y=15,
+                    lesion=LesionSpec(-10, 11, 2, 60)),
     ],
 )
 def test_spec_validation(spec):
     with pytest.raises(ParameterError):
         generate(spec)
+
+
+@pytest.mark.parametrize("width", [39, 40, 41, 42])
+def test_accepted_lesions_lie_inside_the_skull(width):
+    # centres across the whole raster, radii up to past the raster's half
+    # size, so boxes that leave the raster are swept too
+    height, ax, ay = 41, 15, 15
+    cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
+    ys, xs = np.mgrid[0:height, 0:width]
+    skull = ((xs - cx) / ax) ** 2 + ((ys - cy) / ay) ** 2 <= 1.0
+    accepted = 0
+    for dx in range(-width // 2 - 1, width // 2 + 2):
+        for y in range(-1, height + 1, 3):
+            for radius in (1, 2, 3, 5, 8, 14, 21):
+                spec = PhantomSpec(width=width, height=height, seed=1, semi_axis_x=ax,
+                                   semi_axis_y=ay, lesion=LesionSpec(dx, y, radius, 60))
+                try:
+                    _, truth = generate(spec)
+                except ParameterError:
+                    continue
+                accepted += 1
+                assert truth.lesion_mask.any()
+                assert not np.any(truth.lesion_mask & ~skull), spec.lesion
+    assert accepted > 100
+
+
+def test_lesion_far_past_the_raster_is_rejected():
+    for lesion in (LesionSpec(0, 128, 10**12, 60), LesionSpec(10**30, 128, 5, 60),
+                   LesionSpec(0, -10**30, 5, 60)):
+        with pytest.raises(ParameterError):
+            generate(PhantomSpec(lesion=lesion))
 
 
 def test_even_width_still_mirror_exact():
@@ -171,6 +206,15 @@ def test_block_draws_equal_next_bits(seed):
     assert [b.size for b in blocks] == [_JUMP_BLOCK] * 3 + [5]
     rng = Lcg64(seed)
     assert np.concatenate(blocks).tolist() == [rng.next_bits() for _ in range(count)]
+
+
+def test_jump_table_matches_recurrence():
+    mult, inc = _jump_table(_JUMP_BLOCK)
+    a, c = 1, 0
+    for k in range(_JUMP_BLOCK):
+        a = (a * Lcg64.MULTIPLIER) & Lcg64.MASK
+        c = (c * Lcg64.MULTIPLIER + Lcg64.INCREMENT) & Lcg64.MASK
+        assert (int(mult[k]), int(inc[k])) == (a, c), k + 1
 
 
 def test_no_draws_for_zero_count():
