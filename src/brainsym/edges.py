@@ -46,8 +46,8 @@ class EdgeMap:
         return int(self.mask.sum())
 
 
-def gradient_raster(values: np.ndarray, operator: str) -> GradientField:
-    """Gradient of a float raster; see gradient() for the uint8 wrapper."""
+def _components(values: np.ndarray, operator: str) -> tuple[np.ndarray, np.ndarray]:
+    """The gx and gy rasters of gradient_raster, as C-contiguous float64."""
     a = np.asarray(values, dtype=np.float64)
     if operator in ("sobel", "prewitt"):
         side = 2.0 if operator == "sobel" else 1.0
@@ -58,18 +58,24 @@ def gradient_raster(values: np.ndarray, operator: str) -> GradientField:
         gx = sums[:, 2:] - sums[:, :-2]
         sums = p[:, :-2] + side * p[:, 1:-1]
         sums += p[:, 2:]
-        gy = sums[2:] - sums[:-2]
-        del sums
-    elif operator == "roberts":
+        return gx, sums[2:] - sums[:-2]
+    if operator == "roberts":
         p = np.pad(a, ((0, 1), (0, 1)), mode="reflect")
-        gx = p[:-1, :-1] - p[1:, 1:]
-        gy = p[:-1, 1:] - p[1:, :-1]
-    else:
-        raise ParameterError(f"unknown operator {operator!r}; valid: {', '.join(OPERATORS)}")
-    magnitude = np.hypot(gx, gy)
+        return p[:-1, :-1] - p[1:, 1:], p[:-1, 1:] - p[1:, :-1]
+    raise ParameterError(f"unknown operator {operator!r}; valid: {', '.join(OPERATORS)}")
+
+
+def _orientation(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """arctan2(gy, gx) with -pi folded to pi, so angles lie in (-pi, pi]."""
     orientation = np.arctan2(gy, gx)
     orientation[orientation == -np.pi] = np.pi
-    return GradientField(gx, gy, magnitude, orientation)
+    return orientation
+
+
+def gradient_raster(values: np.ndarray, operator: str) -> GradientField:
+    """Gradient of a float raster; see gradient() for the uint8 wrapper."""
+    gx, gy = _components(values, operator)
+    return GradientField(gx, gy, np.hypot(gx, gy), _orientation(gx, gy))
 
 
 def gradient(img: GrayImage, operator: str) -> GradientField:
@@ -120,6 +126,28 @@ def _direction_bins(orientation: np.ndarray) -> np.ndarray:
 _NMS_BLOCK_ROWS = 64
 
 
+def _suppress(centre, m, bins, width, mag_at, survived):
+    """Non-maximum suppression with the (y, x) tie rule at the flat indices
+    `centre` of a raster zero-padded by 1, `width` columns wide.
+
+    `m` and `bins` are the magnitudes and direction bins at `centre`, and
+    `mag_at(q)` gives the magnitudes at padded flat indices q, 0 on the
+    padding. In a padded row the forward neighbor of bin 0, 1, 2, 3 (east,
+    south-east, south, south-west) is 1, width+1, width, width-1 flat
+    elements on, and the backward one (west, north-west, north, north-east)
+    as many back. The backward neighbor always precedes the pixel in (y, x)
+    order, so the tie rule reads the flat bool `survived` at that index.
+    Survivors are stored there before the lookup; each call must come
+    after the calls for every earlier pixel whose survival it can read.
+    """
+    step = np.array([1, width + 1, width, width - 1], dtype=np.intp)[bins]
+    back = centre - step
+    bwd = mag_at(back)
+    kept = (m >= mag_at(centre + step)) & (m >= bwd)
+    survived[centre] = kept
+    return kept & ~(survived[back] & (m == bwd))
+
+
 def nonmax_suppress(field: GradientField) -> np.ndarray:
     """Keep pixels whose magnitude is >= both neighbors along the
     quantized gradient direction.
@@ -128,37 +156,35 @@ def nonmax_suppress(field: GradientField) -> np.ndarray:
     only the lexicographically smallest (y, x) pixel is kept, so plateau
     edges stay one pixel thin.
 
-    Both neighbors are read by one gather from the zero-padded magnitude:
-    in a padded row of width W the forward neighbor of bin 0, 1, 2, 3
-    (east, south-east, south, south-west) is 1, W+1, W, W-1 flat elements
-    on, and the backward one (west, north-west, north, north-east) as many
-    back. The gather copies the very values a per-bin selection picks, so
-    the comparisons and the output are the same. The backward neighbor
-    always precedes the pixel in (y, x) order, so the tie rule reads the
-    padded survivors at that same backward index. Rows go in blocks of
-    _NMS_BLOCK_ROWS: a block's survivors are stored before its tie lookup,
-    which reads only its own rows and the row above.
+    Both neighbors are read by one gather from the zero-padded magnitude
+    (see _suppress), which copies the very values a per-bin selection
+    picks. Rows go in blocks of _NMS_BLOCK_ROWS, in order, so a block's
+    tie lookup reads survivors of its own rows and the row above.
     """
     mag = field.magnitude
     h, w = mag.shape
     bins = _direction_bins(field.orientation)
     width = w + 2
-    steps = np.array([1, width + 1, width, width - 1], dtype=np.intp)
     pm = np.pad(mag, 1, mode="constant", constant_values=0.0).ravel()
-    ps = np.zeros((h + 2, width), dtype=bool)
+    survived = np.zeros(pm.size, dtype=bool)
     cols = np.arange(1, w + 1, dtype=np.intp)
     out = np.empty((h, w), dtype=bool)
     for y0 in range(0, h, _NMS_BLOCK_ROWS):
         y1 = min(y0 + _NMS_BLOCK_ROWS, h)
-        m = mag[y0:y1]
-        step = steps[bins[y0:y1]]
         centre = np.arange(y0 + 1, y1 + 1, dtype=np.intp)[:, None] * width + cols
-        back = centre - step
-        bwd = pm[back]
-        survivors = (m >= pm[centre + step]) & (m >= bwd)
-        ps[y0 + 1:y1 + 1, 1:w + 1] = survivors
-        out[y0:y1] = survivors & ~(ps.ravel()[back] & (m == bwd))
+        out[y0:y1] = _suppress(centre, mag[y0:y1], bins[y0:y1], width, pm.take, survived)
     return out
+
+
+def _hypot_where(gx, gy, s, bound):
+    """Flat indices and magnitudes of the pixels with s >= bound * (1 - 1e-9),
+    or of every pixel when bound < 1e-300; see canny() for why this keeps
+    every pixel whose magnitude reaches sqrt(bound)."""
+    if bound >= 1e-300:
+        idx = np.flatnonzero(s >= bound * (1.0 - 1e-9))
+    else:
+        idx = np.arange(s.size)
+    return idx, np.hypot(gx.take(idx), gy.take(idx))
 
 
 def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> EdgeMap:
@@ -168,27 +194,76 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
     Thresholds are fractions of the per-image maximum gradient magnitude,
     ordered 0 < low_frac < high_frac < 1. Hysteresis keeps strong pixels
     plus weak pixels 8-connected to a strong one.
+
+    The output is that of gradient_raster, nonmax_suppress and the two
+    thresholds on the full frame, but only Sobel gx, gy and s = gx*gx +
+    gy*gy are full-frame. Only pixels with magnitude >= low can be weak, so
+    hypot, arctan2, the direction bins and the NMS gather run on the
+    candidates: the pixels with s >= low**2 * (1 - 1e-9), kept when an
+    exact re-check gives hypot >= low. max_mag is the largest hypot of the
+    pixels with s >= max(s) * (1 - 1e-9). hypot and arctan2 run on
+    contiguous gathered copies, and an elementwise loop gives each element
+    the same result wherever it sits, so every value equals the
+    full-frame one bit for bit; a neighbor's magnitude is hypot of its
+    gathered gx, gy, 0 off the raster. A candidate's tie lookup stays in
+    the candidate set: m == bwd with m >= low makes the backward neighbor
+    a candidate too.
+
+    Why the guard keeps every pixel that matters. Let u = 2**-53, r the
+    exact sqrt(gx**2 + gy**2), B the bound (low*low or max(s)) and e the
+    relative error of hypot; e <= 8u allows 4 ulps, and libm's hypot is
+    within 1. The two rounded squares and their rounded sum lose at most a
+    relative 3u, plus an absolute 2**-1073 at most where a square or the
+    sum is subnormal or underflows to 0. A pixel with hypot >= low has
+    r**2 >= low**2 (1 - 2e), so s >= B (1 - 2e - 4u) - 2**-1073. The
+    pixel of largest hypot has r**2 >= (1 - 4e) times that of the pixel
+    of largest s, so its s >= max(s) (1 - 4e - 6u) - 2**-1072. The guarded
+    bound B (1 - 1e-9) is at most B (1 - 1e-9 + 2u) once rounded, and
+    1e-9 exceeds 4e + 8u <= 40u by more than 10**5. While B >= 1e-300 the
+    slack, over 1e-310, also exceeds 2**-1072 < 2e-323 by more than
+    10**12. Below that, as when low_frac is tiny, s and low**2 can be
+    subnormal or 0, so every pixel is taken. Nothing overflows: smoothing
+    keeps a uint8 image in [0, 255], so |gx|, |gy| <= 1020.
     """
     if not (0.0 < low_frac < high_frac < 1.0):
         raise ParameterError(
             f"thresholds must satisfy 0 < low < high < 1, got low={low_frac} high={high_frac}"
         )
-    smoothed = smooth_raster(img.pixels, sigma)
-    field = gradient_raster(smoothed, "sobel")
-    survivors = nonmax_suppress(field)
-    max_mag = float(field.magnitude.max())
+    h, w = img.pixels.shape
+    gx, gy = _components(smooth_raster(img.pixels, sigma), "sobel")
+    s = gx * gx
+    s += gy * gy
+    max_mag = float(_hypot_where(gx, gy, s, float(s.max()))[1].max())
     if max_mag == 0.0:
-        return EdgeMap(np.zeros(img.pixels.shape, dtype=bool))
+        return EdgeMap(np.zeros((h, w), dtype=bool))
     low = low_frac * max_mag
     high = high_frac * max_mag
-    weak = survivors & (field.magnitude >= low)
-    strong = weak & (field.magnitude >= high)
-    labels, count = ndimage.label(weak, structure=EIGHT_CONNECTED)
+    idx, m = _hypot_where(gx, gy, s, low * low)
+    del s
+    reach = m >= low
+    idx, m = idx[reach], m[reach]
+
+    def mag_at(q):
+        y, x = np.divmod(q, w + 2)
+        inside = (y >= 1) & (y <= h) & (x >= 1) & (x <= w)
+        i = ((y - 1) * w + (x - 1))[inside]
+        out = np.zeros(q.shape)
+        out[inside] = np.hypot(gx.take(i), gy.take(i))
+        return out
+
+    bins = _direction_bins(_orientation(gx.take(idx), gy.take(idx)))
+    survived = np.zeros((h + 2) * (w + 2), dtype=bool)
+    # pixel y * w + x sits at (y + 1) * (w + 2) + x + 1 in the padded raster
+    kept = _suppress(idx + 2 * (idx // w) + (w + 3), m, bins, w + 2, mag_at, survived)
+    weak, strong = idx[kept], idx[kept & (m >= high)]
+    mask = np.zeros(h * w, dtype=bool)
+    mask[weak] = True
+    labels, count = ndimage.label(mask.reshape(h, w), structure=EIGHT_CONNECTED)
+    labels = labels.ravel()
     keep = np.zeros(count + 1, dtype=bool)
     keep[labels[strong]] = True
-    edges = np.zeros_like(weak)
-    edges[weak] = keep[labels[weak]]  # weak pixels only: keep[labels] casts all to intp
-    return EdgeMap(edges)
+    mask[weak] = keep[labels[weak]]
+    return EdgeMap(mask.reshape(h, w))
 
 
 def threshold_edges(field: GradientField, frac: float) -> EdgeMap:

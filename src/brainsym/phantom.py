@@ -146,11 +146,12 @@ def _lesion_disk(spec: PhantomSpec) -> tuple[tuple[slice, slice], np.ndarray]:
 def _validate(spec: PhantomSpec) -> None:
     if spec.width < 1 or spec.height < 1:
         raise ParameterError(f"raster must be at least 1x1, got {spec.width}x{spec.height}")
-    cx = (spec.width - 1) / 2.0
-    cy = (spec.height - 1) / 2.0
+    if spec.width * spec.height > np.iinfo(np.intp).max:
+        raise ParameterError("raster has more pixels than an array can index")
     if spec.semi_axis_x < 1 or spec.semi_axis_y < 1:
         raise ParameterError("ellipse semi-axes must be >= 1")
-    if cx - spec.semi_axis_x < 4 or cy - spec.semi_axis_y < 4:
+    # centre - semi-axis < 4, in integers: (size - 1) / 2 - a < 4
+    if spec.width - 1 < 2 * spec.semi_axis_x + 8 or spec.height - 1 < 2 * spec.semi_axis_y + 8:
         raise ParameterError(
             f"ellipse with semi-axes ({spec.semi_axis_x}, {spec.semi_axis_y}) does not fit "
             f"a {spec.width}x{spec.height} raster with a 4 px margin"

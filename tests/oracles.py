@@ -175,6 +175,41 @@ def brute_nonmax(magnitude, orientation):
     return out
 
 
+def brute_canny(pixels, sigma, low_frac, high_frac):
+    """Canny on the full frame, as first specified: the package's
+    smooth_raster and Sobel gradient_raster (each checked on its own
+    against gaussian_kernel_oracle and brute_gradient), brute_nonmax on
+    every pixel, weak = survivors with magnitude >= low_frac * max and
+    strong = weak with magnitude >= high_frac * max, then a flood fill
+    from every strong pixel through 8-connected weak pixels."""
+    from brainsym import gradient_raster, smooth_raster
+
+    field = gradient_raster(smooth_raster(np.asarray(pixels, dtype=np.float64), sigma), "sobel")
+    mag = field.magnitude
+    height, width = mag.shape
+    edges = np.zeros((height, width), dtype=bool)
+    max_mag = float(mag.max())
+    if max_mag == 0.0:
+        return edges
+    weak = brute_nonmax(mag, field.orientation) & (mag >= low_frac * max_mag)
+    strong = weak & (mag >= high_frac * max_mag)
+    queue = deque()
+    for y in range(height):
+        for x in range(width):
+            if strong[y, x]:
+                edges[y, x] = True
+                queue.append((y, x))
+    while queue:
+        y, x = queue.popleft()
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                ny, nx = y + dy, x + dx
+                if 0 <= ny < height and 0 <= nx < width and weak[ny, nx] and not edges[ny, nx]:
+                    edges[ny, nx] = True
+                    queue.append((ny, nx))
+    return edges
+
+
 def brute_median(pixels, window):
     """Window x window median per pixel: the middle of the sorted values
     of the reflect-padded neighborhood."""

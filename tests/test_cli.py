@@ -292,6 +292,16 @@ def test_phantom_lesion_radius_zero_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("flag", ["--width", "--height", "--semi-x", "--semi-y"])
+def test_phantom_huge_integer_exit_2(tmp_path, flag):
+    out = tmp_path / "x.pgm"
+    proc = run_cli("phantom", "-o", out, flag, "9" * 400)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+    assert not out.exists()
+
+
 def test_phantom_unwritable_output_exit_4(tmp_path):
     proc = run_cli("phantom", "-o", tmp_path / "nodir" / "x.pgm")
     assert proc.returncode == 4

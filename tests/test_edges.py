@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from brainsym import (
     EdgeMap,
@@ -19,9 +22,10 @@ from brainsym import (
     threshold_edges,
 )
 
-from brainsym.edges import _NMS_BLOCK_ROWS, GradientField, _direction_bins
+from brainsym.edges import _NMS_BLOCK_ROWS, GradientField, _direction_bins, _hypot_where
 
 from oracles import (
+    brute_canny,
     brute_direction_bins,
     brute_gradient,
     brute_nonmax,
@@ -201,6 +205,158 @@ def test_canny_mirror_equivariance():
         a = canny(img, 1.0, 0.1, 0.2).mask
         b = canny(mirrored, 1.0, 0.1, 0.2).mask
         assert np.array_equal(np.fliplr(a), b)
+
+
+def _lesioned_513():
+    img, _ = generate(PhantomSpec(width=513, height=513, seed=7, semi_axis_x=200,
+                                  semi_axis_y=240, lesion=LesionSpec(80, 256, 20, 60)))
+    return img
+
+
+def _sparse_raster():
+    """Isolated bright pixels on black: at sigma 0.05 the kernel's axis
+    tails give magnitudes near 4e-85 and its diagonal tails near 7e-172,
+    whose squares underflow to 0; at sigma 0.037 the axis tails give
+    magnitudes near 7e-157, whose squares are subnormal."""
+    px = np.zeros((16, 16), dtype=np.uint8)
+    px[2::5, 3::6] = 255
+    px[8, 8] = 200
+    return px
+
+
+def _frac_giving(max_mag, target, above=False):
+    """A low_frac whose product with max_mag is target, or, with above,
+    the least product above target; None if no product is target."""
+    frac = target / max_mag
+    while frac * max_mag > target:
+        frac = float(np.nextafter(frac, 0.0))
+    while frac * max_mag < target or (above and frac * max_mag == target):
+        frac = float(np.nextafter(frac, math.inf))
+    return frac if above or frac * max_mag == target else None
+
+
+def _low_frac_hitting(pixels, sigma, floor):
+    """A low_frac whose low = low_frac * max magnitude is exactly a
+    magnitude of the field: the least above floor that such a product
+    can hit."""
+    mag = gradient_raster(smooth_raster(pixels, sigma), "sobel").magnitude
+    for target in np.unique(mag[mag > floor]):
+        frac = _frac_giving(float(mag.max()), float(target))
+        if frac is not None:
+            return frac
+    raise AssertionError("no low_frac hits a magnitude")
+
+
+def _pinned_low_fracs(pixels, sigma, high):
+    """Two low_fracs pinned to one edge pixel p. At the first, low is p's
+    magnitude exactly, p is an edge and its rounded s = gx*gx + gy*gy lies
+    below the rounded low*low, so an unguarded s-prefilter would drop it.
+    At the second, low is the least product above p's magnitude: p is
+    not weak, though it is a candidate and 8-connected to a strong pixel."""
+    field = gradient_raster(smooth_raster(pixels, sigma), "sobel")
+    mag = field.magnitude
+    s = field.gx * field.gx + field.gy * field.gy
+    max_mag = float(mag.max())
+    ys, xs = np.nonzero(brute_canny(pixels, sigma, 0.02, high))
+    for y, x in sorted(zip(ys, xs), key=lambda p: mag[p]):
+        m = float(mag[y, x])
+        at = _frac_giving(max_mag, m)
+        if at is None or not s[y, x] < m * m or not brute_canny(pixels, sigma, at, high)[y, x]:
+            continue
+        above = _frac_giving(max_mag, m, above=True)
+        edges = brute_canny(pixels, sigma, above, high)
+        if not edges[y, x] and edges[max(y - 1, 0):y + 2, max(x - 1, 0):x + 2].any():
+            return at, above
+    raise AssertionError("no edge pixel to pin low to")
+
+
+def _canny_spec_cases():
+    rng = np.random.default_rng(31)
+    cases = []
+    for h, w in [(1, 1), (1, 12), (12, 1), (2, 9)]:
+        cases.append((f"random-{h}x{w}", rng.integers(0, 256, size=(h, w)), 1.0, 0.1, 0.2))
+    cases.append(("constant", np.full((9, 11), 77), 1.0, 0.1, 0.2))
+    cases.append(("constant-1x7", np.full((1, 7), 200), 0.5, 0.1, 0.2))
+    two = rng.choice([0, 255], size=(17, 23))
+    three = rng.choice([0, 128, 255], size=(20, 20))
+    blocks = np.kron(rng.choice([0, 90, 255], size=(8, 10)), np.ones((3, 3), dtype=int))
+    for name, px in (("palette-2", two), ("palette-3", three), ("blocks-3x3", blocks)):
+        for sigma in (0.5, 1.0, 2.0):
+            cases.append((f"{name}-s{sigma}", px, sigma, 0.1, 0.2))
+    cases.append(("blocks-3x3-wide-band", blocks, 1.0, 0.02, 0.9))
+    sparse = _sparse_raster()
+    for low in (1e-155, 1e-160, 1e-200):
+        cases.append((f"tails-low-{low:g}", sparse, 0.05, low, 0.5))
+    # a magnitude near 5e-172, and one near 7e-157, whose square is subnormal
+    for sigma, floor in ((0.05, 0.0), (0.037, 1e-200)):
+        low = _low_frac_hitting(sparse, sigma, floor)
+        cases.append((f"low-hits-magnitude-tails-s{sigma}", sparse, sigma, low, 0.5))
+    for name, px, sigma in (("palette-3", three, 1.0), ("blocks-3x3", blocks, 1.0),
+                            ("random-smooth", rng.integers(0, 256, size=(24, 24)), 2.0)):
+        at, above = _pinned_low_fracs(px, sigma, 0.5)
+        cases.append((f"low-at-edge-pixel-{name}", px, sigma, at, 0.5))
+        cases.append((f"low-just-above-edge-pixel-{name}", px, sigma, above, 0.5))
+    # max magnitude under 0.1, so low = 5e-324 * max underflows to 0 and
+    # zero-magnitude pixels, corners included, are candidates too
+    faint = np.zeros((30, 30), dtype=int)
+    faint[15, 3] = faint[5, 20] = 1
+    cases.append(("low-underflows-to-0", faint, 2.0, 5e-324, 0.5))
+    cases.append(("lesioned-513", _lesioned_513().pixels, 1.0, 0.1, 0.2))
+    return cases
+
+
+CANNY_SPEC_CASES = _canny_spec_cases()
+
+
+@pytest.mark.parametrize("case", CANNY_SPEC_CASES, ids=[c[0] for c in CANNY_SPEC_CASES])
+def test_canny_matches_full_frame_spec(case):
+    _, pixels, sigma, low, high = case
+    got = canny(GrayImage(pixels.astype(np.uint8)), sigma, low, high).mask
+    assert np.array_equal(got, brute_canny(pixels, sigma, low, high))
+
+
+@st.composite
+def _thresholds(draw):
+    low = draw(st.floats(0.001, 0.9) | st.floats(3.0, 300.0).map(lambda e: 10.0 ** -e))
+    return low, draw(st.floats(low, 0.999, exclude_min=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.uint8, st.tuples(st.integers(1, 40), st.integers(1, 40))),
+       st.floats(0.03, 3.0), _thresholds())
+def test_canny_property_matches_full_frame_spec(raw, sigma, thresholds):
+    low, high = thresholds
+    assert np.array_equal(canny(GrayImage(raw), sigma, low, high).mask,
+                          brute_canny(raw, sigma, low, high))
+
+
+def test_hypot_where_keeps_every_pixel_reaching_the_bound():
+    # magnitudes over 10**-170 .. 10**3, and densely where low**2 is subnormal
+    rng = np.random.default_rng(37)
+    scale = 10.0 ** np.concatenate([rng.uniform(-170, 3, 2000), rng.uniform(-163, -153, 2000)])
+    gx = rng.normal(size=scale.size) * scale
+    gy = rng.normal(size=scale.size) * scale
+    gy[::5] = 0.0
+    s = gx * gx + gy * gy
+    mag = np.hypot(gx, gy)
+    assert _hypot_where(gx, gy, s, float(s.max()))[1].max() == mag.max()
+    for low in np.concatenate([mag[::10], mag[mag < 1e-152]]):
+        idx, m = _hypot_where(gx, gy, s, low * low)
+        assert np.array_equal(m, mag[idx])
+        assert np.isin(np.flatnonzero(mag >= low), idx).all(), low
+
+
+def test_canny_memory_at_513():
+    # 15,057,508 bytes was the peak of the full-frame canny on this image
+    img = _lesioned_513()
+    canny(img, 1.0, 0.1, 0.2)
+    tracemalloc.start()
+    try:
+        canny(img, 1.0, 0.1, 0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15_057_508
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,12 @@ def test_lesion_delta_clamped():
         PhantomSpec(noise_amplitude=96),
         PhantomSpec(noise_amplitude=-1),
         PhantomSpec(semi_axis_x=0),
+        # past float range: the margin check is made in integers
+        PhantomSpec(semi_axis_x=int("9" * 400)),
+        PhantomSpec(semi_axis_y=int("9" * 400)),
+        PhantomSpec(width=int("9" * 400)),
+        PhantomSpec(height=int("9" * 400)),
+        PhantomSpec(width=2**32, height=2**32),                   # more pixels than intp indexes
         # even width: the disk's centre is a half-integer column and pixel
         # (x 8, y 10) of this disk lies outside the skull
         PhantomSpec(width=40, height=41, seed=1, semi_axis_x=15, semi_axis_y=15,
