@@ -212,7 +212,11 @@ def _phantom_spec_from_args(args: argparse.Namespace) -> PhantomSpec:
 
 def cmd_phantom(args: argparse.Namespace) -> int:
     spec = _phantom_spec_from_args(args)
-    img, truth = generate(spec)
+    try:
+        img, truth = generate(spec)
+    except MemoryError as exc:
+        raise ParameterError(
+            f"a {spec.width}x{spec.height} phantom does not fit in memory") from exc
     out = Path(args.output)
     save_netpbm(img, out)
     sidecar = {

@@ -124,69 +124,111 @@ def _erode(mask: np.ndarray, radius: int) -> np.ndarray:
     return ndimage.minimum_filter1d(rows, size, axis=1, mode="constant", cval=0)
 
 
+def _bbox(mask: np.ndarray) -> tuple[int, int, int, int] | None:
+    """Rows y0:y1 and columns x0:x1 of the smallest box holding every set
+    pixel, as (y0, y1, x0, x1); None for an empty mask."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
 def asymmetry_map(edges: EdgeMap, axis: SymmetryAxis, tol: int) -> np.ndarray:
     """Bool mask of the edge pixels with nothing edged within Chebyshev
     distance tol of their mirror position (rounded half away).
 
     A mirror column landing outside the raster counts as unmatched. The
-    match test reads one dilation of the edge mask, done as separable
-    running maxima; tol is clamped to max(height, width), where the
-    dilation already covers the whole raster, so the result is the same
-    and the cost stays bounded.
+    match test is a lookup in the edge pixels' flat indices, which
+    np.flatnonzero gives sorted: a row offset dy matches a mirror (y, m)
+    when some index lies in [r w + max(m - tol, 0), r w + min(m + tol,
+    w - 1)] with r = y + dy on the raster, which two binary searches
+    decide. That is exactly the (2 tol + 1)^2 window test. Offsets are
+    tried nearest first (0, -1, 1, ...), and a pixel leaves the search
+    once matched, so the cost follows the edge count, not the raster.
+    tol is clamped to max(height, width): the window then holds the
+    pixel's whole row, so every mirror on the raster matches at dy = 0.
     """
     if tol < 0:
         raise ParameterError(f"tol must be >= 0, got {tol}")
     mask = edges.mask
     height, width = mask.shape
     unmatched = np.zeros((height, width), dtype=bool)
-    ys, xs = np.nonzero(mask)
-    if ys.size == 0:
+    flat = np.flatnonzero(mask)
+    if flat.size == 0:
         return unmatched
+    ys, xs = np.divmod(flat, width)
     mirror = round_half_away(reflect_x(axis, xs, ys)).astype(np.int64)
     in_bounds = (mirror >= 0) & (mirror < width)
-    matched = np.zeros(ys.size, dtype=bool)
-    if in_bounds.any():
-        reach = _dilate(mask, min(tol, max(height, width)))
-        matched[in_bounds] = reach[ys[in_bounds], mirror[in_bounds]]
-    keep = ~matched
-    unmatched[ys[keep], xs[keep]] = True
+    tol = min(tol, max(height, width))
+    pending = np.flatnonzero(in_bounds)
+    rows = ys[pending]
+    lo = np.maximum(mirror[pending] - tol, 0)
+    hi = np.minimum(mirror[pending] + tol, width - 1)
+    for dy in sorted(range(-tol, tol + 1), key=abs):     # 0, -1, 1, -2, ...
+        if pending.size == 0:
+            break
+        r = rows + dy
+        base = r * width
+        hit = ((r >= 0) & (r < height)
+               & (np.searchsorted(flat, base + hi, "right") > np.searchsorted(flat, base + lo, "left")))
+        miss = ~hit
+        pending, rows, lo, hi = pending[miss], rows[miss], lo[miss], hi[miss]
+    unmatched.flat[flat[~in_bounds]] = True
+    unmatched.flat[flat[pending]] = True
     return unmatched
 
 
 def close_mask(mask: np.ndarray, radius: int) -> np.ndarray:
     """Morphological closing of a bool mask with a (2 radius + 1)^2 square
-    element.
+    element, as on an unbounded plane, so border blobs close as they
+    would away from the border; radius 0 returns a copy.
 
-    Computed on a padded working frame so border blobs behave exactly as
-    on an unbounded plane; radius 0 returns a copy. Dilation and erosion
-    are separable running max/min filters, O(1) per pixel whatever the
-    radius. The radius is clamped to max(height, width): the closing of
-    a mask that fits in the raster no longer changes beyond that, and the
-    clamp bounds the padded frame.
+    Only the mask's bounding box is filtered, padded by radius with
+    False, and written into a zeroed raster. That is exact: a pixel
+    outside the box lies on the far edge of some square that misses the
+    box, so it is never closed; a pixel inside reads the dilation within
+    the box +- radius, which is the padded frame, and the mask is empty
+    outside the box. Dilation and erosion are separable running max/min
+    filters, O(1) per pixel whatever the radius. The radius is clamped
+    to max(height, width): the closing of a mask that fits in the raster
+    no longer changes beyond that, and the clamp bounds the padded frame.
     """
     if radius < 0:
         raise ParameterError(f"radius must be >= 0, got {radius}")
     radius = min(radius, max(mask.shape))
     if radius == 0:
         return mask.copy()
-    extended = np.pad(mask, radius, mode="constant", constant_values=False)
-    closed = _erode(_dilate(extended, radius), radius)
-    return closed[radius:-radius, radius:-radius]
+    closed = np.zeros(mask.shape, dtype=bool)
+    box = _bbox(mask)
+    if box is None:
+        return closed
+    y0, y1, x0, x1 = box
+    work = np.pad(mask[y0:y1, x0:x1], radius, mode="constant", constant_values=False)
+    closed[y0:y1, x0:x1] = _erode(_dilate(work, radius), radius)[radius:-radius, radius:-radius]
+    return closed
 
 
 def connected_components(mask: np.ndarray, min_area: int) -> list[Region]:
     """8-connected foreground components with area >= min_area.
 
-    Sorted by area descending, ties by (ymin, xmin).
+    Sorted by area descending, ties by (ymin, xmin). Only the mask's
+    bounding box is labeled; a crop keeps raster-scan order, so labels
+    come out in the same order as on the whole raster.
     """
     if min_area < 1:
         raise ParameterError(f"min_area must be >= 1, got {min_area}")
     m = np.asarray(mask, dtype=bool)
-    labels, count = ndimage.label(m, structure=EIGHT_CONNECTED)
-    if count == 0:
+    box = _bbox(m)
+    if box is None:
         return []
-    ys, xs = np.nonzero(m)
+    y0, y1, x0, x1 = box
+    crop = m[y0:y1, x0:x1]
+    labels, count = ndimage.label(crop, structure=EIGHT_CONNECTED)
+    ys, xs = np.nonzero(crop)
     pixel_labels = labels[ys, xs]
+    ys += y0
+    xs += x0
     order = np.argsort(pixel_labels, kind="stable")
     ys, xs, pixel_labels = ys[order], xs[order], pixel_labels[order]
     sizes = np.bincount(pixel_labels, minlength=count + 1)
@@ -290,7 +332,7 @@ def render_overlay(img: GrayImage, result: DetectionResult) -> RgbImage:
 
 
 def _paint_overlay(img: GrayImage, axis: SymmetryAxis, regions: list[Region]) -> RgbImage:
-    rgb = np.repeat(img.pixels[:, :, None], 3, axis=2).copy()
+    rgb = np.repeat(img.pixels[:, :, None], 3, axis=2)
     height, width = img.pixels.shape
     rows = np.arange(height)
     cols = round_half_away(axis.at(rows)).astype(np.int64)
@@ -302,7 +344,7 @@ def _paint_overlay(img: GrayImage, axis: SymmetryAxis, regions: list[Region]) ->
         rgb[y1, x0:x1 + 1] = BBOX_COLOR
         rgb[y0:y1 + 1, x0] = BBOX_COLOR
         rgb[y0:y1 + 1, x1] = BBOX_COLOR
-    for region in regions:
-        for x, y in region.pixels:
-            rgb[y, x] = REGION_COLOR
+    painted = np.array([p for region in regions for p in region.pixels], dtype=np.int64)
+    if painted.size:
+        rgb[painted[:, 1], painted[:, 0]] = REGION_COLOR
     return RgbImage(rgb)

@@ -15,6 +15,7 @@ from brainsym import (
     load_netpbm,
     save_netpbm,
 )
+from brainsym import cli
 from brainsym.cli import _config_from_args, build_parser
 
 
@@ -299,6 +300,18 @@ def test_phantom_huge_integer_exit_2(tmp_path, flag):
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
+    assert not out.exists()
+
+
+def test_phantom_out_of_memory_exit_2(tmp_path, monkeypatch, capsys):
+    def no_memory(spec):
+        raise MemoryError("Unable to allocate 37.3 GiB")
+
+    monkeypatch.setattr(cli, "generate", no_memory)
+    out = tmp_path / "x.pgm"
+    assert cli.main(["phantom", "-o", str(out), "--width", "10000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: a 10000000000x257 phantom does not fit in memory\n"
     assert not out.exists()
 
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from brainsym import (
     EdgeMap,
@@ -209,6 +212,126 @@ def test_components_match_flood_fill():
 def test_components_min_area_validation():
     with pytest.raises(ParameterError):
         connected_components(np.zeros((3, 3), dtype=bool), 0)
+
+
+# ---------------------------------------------------------------------------
+# sparse masks: asymmetry, closing and components work on the set pixels'
+# bounding box, so these cases put a few pixels on the borders and corners
+# and far from the origin, where a crop off by one would show
+
+def _sparse_masks():
+    cases = []
+    h, w = 48, 64
+    for name, points in (
+        ("corner-top-left", [(0, 0)]),
+        ("corner-top-right", [(0, w - 1)]),
+        ("corner-bottom-left", [(h - 1, 0)]),
+        ("corner-bottom-right", [(h - 1, w - 1)]),
+        ("border-top", [(0, 30), (0, 33), (1, 36)]),
+        ("border-bottom", [(h - 1, 20), (h - 2, 22)]),
+        ("border-left", [(20, 0), (24, 1), (26, 0)]),
+        ("border-right", [(30, w - 1), (27, w - 3)]),
+        ("far-from-origin", [(h - 3, w - 5), (h - 6, w - 2), (h - 4, w - 9)]),
+        ("opposite-corners", [(0, 0), (h - 1, w - 1)]),
+        ("interior", [(20, 30), (22, 37), (25, 31), (21, 31)]),
+    ):
+        mask = np.zeros((h, w), dtype=bool)
+        mask[tuple(np.array(points).T)] = True
+        cases.append((name, mask))
+    for shape, points in (((1, 1), [(0, 0)]), ((1, 64), [(0, 0), (0, 63)]),
+                          ((48, 1), [(47, 0), (3, 0)]), ((2, 3), [(1, 2)])):
+        mask = np.zeros(shape, dtype=bool)
+        mask[tuple(np.array(points).T)] = True
+        cases.append((f"thin-{shape[0]}x{shape[1]}", mask))
+    rng = np.random.default_rng(89)
+    for i in range(6):
+        height, width = int(rng.integers(1, 49)), int(rng.integers(1, 65))
+        mask = np.zeros((height, width), dtype=bool)
+        count = int(rng.integers(1, 7))
+        mask[rng.integers(0, height, count), rng.integers(0, width, count)] = True
+        cases.append((f"seeded-{i}", mask))
+    return cases
+
+
+SPARSE_MASKS = _sparse_masks()
+SPARSE_IDS = [name for name, _ in SPARSE_MASKS]
+RADII = list(range(9)) + [10**9]
+
+
+def _sparse_axes(width):
+    return [
+        straight_axis((width - 1) / 2),
+        SymmetryAxis(1, (width * 0.3, 0.25)),
+        SymmetryAxis(2, (width * 0.6, -0.4, 0.012)),
+        SymmetryAxis(2, (width * 0.5, 0.1, -0.008)),
+    ]
+
+
+@pytest.mark.parametrize("name,mask", SPARSE_MASKS, ids=SPARSE_IDS)
+def test_sparse_close_matches_brute_force(name, mask):
+    for radius in RADII:
+        # beyond max(height, width) the closing no longer changes
+        expected = brute_close(mask, min(radius, max(mask.shape) + 1))
+        assert np.array_equal(close_mask(mask, radius), expected), radius
+
+
+@pytest.mark.parametrize("name,mask", SPARSE_MASKS, ids=SPARSE_IDS)
+def test_sparse_asymmetry_matches_brute_force(name, mask):
+    height, width = mask.shape
+    for axis in _sparse_axes(width):
+        # add each pixel's mirror, moved by up to 3 rows and columns, so
+        # matches turn on at different tol and row offsets
+        paired = mask.copy()
+        ys, xs = np.nonzero(mask)
+        mirror = np.array([round(2.0 * axis.at(int(y)) - x) for y, x in zip(ys, xs)], dtype=int)
+        shift = np.arange(ys.size) % 7 - 3
+        py, px = ys + shift, mirror - shift[::-1]
+        ok = (py >= 0) & (py < height) & (px >= 0) & (px < width)
+        paired[py[ok], px[ok]] = True
+        for m in (mask, paired):
+            for tol in RADII:
+                got = asymmetry_map(EdgeMap(m), axis, tol)
+                assert np.array_equal(got, brute_asymmetry(m, axis, tol)), (axis, tol)
+
+
+@pytest.mark.parametrize("name,mask", SPARSE_MASKS, ids=SPARSE_IDS)
+def test_sparse_components_match_flood_fill(name, mask):
+    for radius in (0, 1, 3, 8):
+        closed = close_mask(mask, radius)
+        for min_area in (1, 2, 9):
+            regions = connected_components(closed, min_area)
+            expected = [c for c in flood_fill_components(closed) if len(c) >= min_area]
+            assert {r.pixels for r in regions} == {frozenset(c) for c in expected}
+            keys = [(-r.area_px, r.bbox[1], r.bbox[0]) for r in regions]
+            assert keys == sorted(keys)
+            for region in regions:
+                xs = [p[0] for p in region.pixels]
+                ys = [p[1] for p in region.pixels]
+                assert region.area_px == len(region.pixels)
+                assert region.bbox == (min(xs), min(ys), max(xs), max(ys))
+                assert region.centroid == pytest.approx((np.mean(xs), np.mean(ys)))
+
+
+@st.composite
+def _axes(draw, width):
+    degree = draw(st.sampled_from((1, 2)))
+    coeffs = (draw(st.floats(-4.0, width + 4.0)), draw(st.floats(-1.0, 1.0)))
+    if degree == 2:
+        coeffs += (draw(st.floats(-0.05, 0.05)),)
+    return SymmetryAxis(degree, coeffs)
+
+
+@st.composite
+def _masked_axes(draw):
+    mask = draw(arrays(bool, st.tuples(st.integers(1, 24), st.integers(1, 32))))
+    return mask, draw(_axes(mask.shape[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_masked_axes(), st.integers(0, 10))
+def test_asymmetry_property_matches_brute_force(masked_axis, tol):
+    mask, axis = masked_axis
+    assert np.array_equal(asymmetry_map(EdgeMap(mask), axis, tol), brute_asymmetry(mask, axis, tol))
 
 
 # ---------------------------------------------------------------------------
