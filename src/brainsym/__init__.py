@@ -10,7 +10,7 @@ Importing the package fixes glibc malloc's mmap and trim thresholds for
 the process (see ``_heap``), so repeated images reuse freed memory.
 """
 
-from ._heap import keep_freed_memory
+from . import _heap
 from .detect import (
     DetectionResult,
     NOT_FOUND_MESSAGE,
@@ -66,4 +66,4 @@ from .symmetry import (
     solve_cramer,
 )
 
-keep_freed_memory()
+_heap.keep_freed_memory()

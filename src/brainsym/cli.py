@@ -3,8 +3,8 @@
 Subcommands run individual stages (edges, axis, report), the whole
 detector (detect) or the phantom generator (phantom). Exit codes:
 0 analysis completed (tumor found or not), 2 usage or parameter error,
-3 pipeline or numerical failure, 4 I/O failure. All outputs are
-byte-deterministic for identical inputs and flags.
+3 pipeline, numerical or out-of-memory failure, 4 I/O failure. All
+outputs are byte-deterministic for identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -269,12 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_phantom = sub.add_parser("phantom", help="generate a synthetic phantom plus ground truth")
     p_phantom.add_argument("-o", "--output", required=True, help="output image (P5)")
-    p_phantom.add_argument("--width", type=int, default=257)
-    p_phantom.add_argument("--height", type=int, default=257)
-    p_phantom.add_argument("--seed", type=int, default=1)
-    p_phantom.add_argument("--semi-x", type=int, default=100, help="skull semi-axis along x")
-    p_phantom.add_argument("--semi-y", type=int, default=120, help="skull semi-axis along y")
-    p_phantom.add_argument("--noise-amplitude", type=int, default=10)
+    p_phantom.add_argument("--width", type=int, default=PhantomSpec.width)
+    p_phantom.add_argument("--height", type=int, default=PhantomSpec.height)
+    p_phantom.add_argument("--seed", type=int, default=PhantomSpec.seed)
+    p_phantom.add_argument("--semi-x", type=int, default=PhantomSpec.semi_axis_x, help="skull x semi-axis")
+    p_phantom.add_argument("--semi-y", type=int, default=PhantomSpec.semi_axis_y, help="skull y semi-axis")
+    p_phantom.add_argument("--noise-amplitude", type=int, default=PhantomSpec.noise_amplitude)
     p_phantom.add_argument("--lesion", action="store_true", help="inject a lesion with default geometry")
     p_phantom.add_argument("--lesion-dx", type=int, default=None, help="lesion offset from the axis")
     p_phantom.add_argument("--lesion-y", type=int, default=None, help="lesion center row")
@@ -299,6 +299,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NetpbmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_PIPELINE
 
 
 if __name__ == "__main__":

@@ -106,24 +106,6 @@ def auto_min_area(width: int, height: int) -> int:
     return math.ceil(width * height / 2621)
 
 
-def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Max over the (2 radius + 1)^2 square around each pixel; outside is False.
-
-    Separable: a running max along rows, then along columns, each O(1)
-    per pixel (van Herk 1992; Gil & Werman 1993).
-    """
-    size = 2 * radius + 1
-    rows = ndimage.maximum_filter1d(mask, size, axis=0, mode="constant", cval=0)
-    return ndimage.maximum_filter1d(rows, size, axis=1, mode="constant", cval=0)
-
-
-def _erode(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Min over the (2 radius + 1)^2 square around each pixel; outside is False."""
-    size = 2 * radius + 1
-    rows = ndimage.minimum_filter1d(mask, size, axis=0, mode="constant", cval=0)
-    return ndimage.minimum_filter1d(rows, size, axis=1, mode="constant", cval=0)
-
-
 def _bbox(mask: np.ndarray) -> tuple[int, int, int, int] | None:
     """Rows y0:y1 and columns x0:x1 of the smallest box holding every set
     pixel, as (y0, y1, x0, x1); None for an empty mask."""
@@ -189,10 +171,12 @@ def close_mask(mask: np.ndarray, radius: int) -> np.ndarray:
     outside the box lies on the far edge of some square that misses the
     box, so it is never closed; a pixel inside reads the dilation within
     the box +- radius, which is the padded frame, and the mask is empty
-    outside the box. Dilation and erosion are separable running max/min
-    filters, O(1) per pixel whatever the radius. The radius is clamped
-    to max(height, width): the closing of a mask that fits in the raster
-    no longer changes beyond that, and the clamp bounds the padded frame.
+    outside the box. ndimage.grey_closing with a plain size runs the
+    dilation and erosion as separable running max/min filters (van Herk
+    1992; Gil & Werman 1993), O(1) per pixel whatever the radius, with
+    False outside the frame. The radius is clamped to max(height,
+    width): the closing of a mask that fits in the raster no longer
+    changes beyond that, and the clamp bounds the padded frame.
     """
     if radius < 0:
         raise ParameterError(f"radius must be >= 0, got {radius}")
@@ -205,7 +189,8 @@ def close_mask(mask: np.ndarray, radius: int) -> np.ndarray:
         return closed
     y0, y1, x0, x1 = box
     work = np.pad(mask[y0:y1, x0:x1], radius, mode="constant", constant_values=False)
-    closed[y0:y1, x0:x1] = _erode(_dilate(work, radius), radius)[radius:-radius, radius:-radius]
+    work = ndimage.grey_closing(work, size=2 * radius + 1, mode="constant")
+    closed[y0:y1, x0:x1] = work[radius:-radius, radius:-radius]
     return closed
 
 
@@ -214,7 +199,9 @@ def connected_components(mask: np.ndarray, min_area: int) -> list[Region]:
 
     Sorted by area descending, ties by (ymin, xmin). Only the mask's
     bounding box is labeled; a crop keeps raster-scan order, so labels
-    come out in the same order as on the whole raster.
+    come out in the same order as on the whole raster. value_indices
+    gives the labels in ascending order, each one's pixels in raster
+    order.
     """
     if min_area < 1:
         raise ParameterError(f"min_area must be >= 1, got {min_area}")
@@ -224,29 +211,19 @@ def connected_components(mask: np.ndarray, min_area: int) -> list[Region]:
         return []
     y0, y1, x0, x1 = box
     crop = m[y0:y1, x0:x1]
-    labels, count = ndimage.label(crop, structure=EIGHT_CONNECTED)
-    ys, xs = np.nonzero(crop)
-    pixel_labels = labels[ys, xs]
-    ys += y0
-    xs += x0
-    order = np.argsort(pixel_labels, kind="stable")
-    ys, xs, pixel_labels = ys[order], xs[order], pixel_labels[order]
-    sizes = np.bincount(pixel_labels, minlength=count + 1)
+    labels, _ = ndimage.label(crop, structure=EIGHT_CONNECTED)
     regions = []
-    start = 0
-    for label_id in range(1, count + 1):
-        stop = start + int(sizes[label_id])
-        if sizes[label_id] >= min_area:
-            ry, rx = ys[start:stop], xs[start:stop]
+    for ys, xs in ndimage.value_indices(labels, ignore_value=0).values():
+        if ys.size >= min_area:
+            ry, rx = ys + y0, xs + x0
             regions.append(
                 Region(
                     pixels=frozenset(zip((int(x) for x in rx), (int(y) for y in ry))),
-                    area_px=int(sizes[label_id]),
+                    area_px=int(ys.size),
                     bbox=(int(rx.min()), int(ry.min()), int(rx.max()), int(ry.max())),
                     centroid=(float(rx.mean()), float(ry.mean())),
                 )
             )
-        start = stop
     regions.sort(key=lambda r: (-r.area_px, r.bbox[1], r.bbox[0]))
     return regions
 

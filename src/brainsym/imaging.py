@@ -9,6 +9,7 @@ policy (mirror reflection about the edge pixel, numpy ``mode='reflect'``).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,25 +86,15 @@ class RgbImage:
 # netpbm I/O (binary P5/P6, maxval 255)
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+# whitespace and "#" comments (each up to a CR or LF), then one token
+_TOKEN = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\r\n]*)*([^ \t\r\n\x0b\x0c#]*)")
 
 
 def _next_token(data: bytes, pos: int, field: str) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        c = data[pos:pos + 1]
-        if c == b"#":
-            while pos < n and data[pos:pos + 1] not in b"\r\n":
-                pos += 1
-        elif c in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    if pos >= n:
+    match = _TOKEN.match(data, pos)
+    if not match.group(1):
         raise NetpbmError(field, "header ended before the value")
-    start = pos
-    while pos < n and data[pos:pos + 1] not in _WHITESPACE and data[pos:pos + 1] != b"#":
-        pos += 1
-    return data[start:pos], pos
+    return match.group(1), match.end()
 
 
 def _int_token(data: bytes, pos: int, field: str) -> tuple[int, int]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy import ndimage
 
 from .edges import EIGHT_CONNECTED
@@ -25,11 +26,8 @@ class SymmetryAxis:
     coeffs: tuple[float, ...]
 
     def at(self, y):
-        """Evaluate x(y); accepts scalars or arrays."""
-        result = 0.0
-        for c in reversed(self.coeffs):
-            result = result * np.asarray(y, dtype=np.float64) + c
-        return result
+        """Evaluate x(y) by Horner's rule; accepts scalars or arrays."""
+        return polyval(np.asarray(y, dtype=np.float64), self.coeffs)
 
 
 def brain_mask(img: GrayImage) -> np.ndarray:

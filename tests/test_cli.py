@@ -170,6 +170,27 @@ def test_detect_bare_flags_give_default_config():
     assert _config_from_args(args) == PipelineConfig()
 
 
+def _no_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 37.3 GiB")
+
+
+def test_detect_out_of_memory_exit_3(phantom_paths, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "detect_pipeline", _no_memory)
+    outdir = tmp_path / "out"
+    assert cli.main(["detect", str(phantom_paths["lesioned"]), "-d", str(outdir)]) == 3
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 37.3 GiB\n"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["edges", "axis", "report"])
+def test_stage_out_of_memory_exit_3(phantom_paths, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(cli, "preprocess", _no_memory)
+    out = tmp_path / "out"
+    assert cli.main([command, str(phantom_paths["lesioned"]), "-o", str(out)]) == 3
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 37.3 GiB\n"
+    assert not out.exists()
+
+
 def test_detect_pixel_spacing_scales_mm2(phantom_paths, tmp_path):
     proc = run_cli("detect", phantom_paths["lesioned"], "-d", tmp_path,
                    "--pixel-spacing", "0.5")
@@ -313,6 +334,11 @@ def test_phantom_out_of_memory_exit_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "error: a 10000000000x257 phantom does not fit in memory\n"
     assert not out.exists()
+
+
+def test_phantom_bare_flags_give_default_spec():
+    args = build_parser().parse_args(["phantom", "-o", "x.pgm"])
+    assert cli._phantom_spec_from_args(args) == PhantomSpec()
 
 
 def test_phantom_unwritable_output_exit_4(tmp_path):

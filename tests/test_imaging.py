@@ -89,6 +89,45 @@ def test_load_with_comment_header(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "header, width, height",
+    [
+        pytest.param(b"P5\n2#c\n2\n255\n", 2, 2, id="comment-ends-a-token"),
+        pytest.param(b"P5\n# c\r2 1\r255\r", 2, 1, id="cr-ended-comment"),
+        pytest.param(b"P5\x0b2\x0c1\x0b255\x0c", 2, 1, id="vt-and-ff-whitespace"),
+        pytest.param(b"P5 #a\n#b\n\t2 # c # d\n1\n255 ", 2, 1, id="comments-in-a-row"),
+        pytest.param(b"P5\n#" + b"x" * (1 << 20) + b"\n2 1\n255\n", 2, 1, id="1-MB-comment"),
+    ],
+)
+def test_header_tokens(tmp_path, header, width, height):
+    pixels = np.arange(1, width * height + 1, dtype=np.uint8).reshape(height, width)
+    path = tmp_path / "t.pgm"
+    path.write_bytes(header + pixels.tobytes())
+    img = load_netpbm(path)
+    assert np.array_equal(img.pixels, pixels)
+
+
+@pytest.mark.parametrize(
+    "payload, field, message",
+    [
+        pytest.param(b"P5\n2 1\n# no newline", "maxval", "header ended before the value",
+                     id="comment-at-eof"),
+        pytest.param(b"P5 2 1#", "maxval", "header ended before the value", id="hash-at-eof"),
+        pytest.param(b"P5", "width", "header ended before the value", id="no-width"),
+        pytest.param(b"P5 2 1 255#c\n\x00\x00", "payload", "missing whitespace byte after maxval",
+                     id="comment-right-after-maxval"),
+        pytest.param(b"P5 2 -1 255\n\x00\x00", "height", "expected a decimal integer, got b'-1'",
+                     id="signed-height"),
+    ],
+)
+def test_header_token_errors(tmp_path, payload, field, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(payload)
+    with pytest.raises(NetpbmError) as err:
+        load_netpbm(path)
+    assert str(err.value) == f"{field}: {message}"
+
+
+@pytest.mark.parametrize(
     "payload, field",
     [
         (b"P4\n1 1\n255\n\x00", "magic"),
