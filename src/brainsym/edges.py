@@ -12,7 +12,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ParameterError
-from .imaging import GrayImage, smooth_raster
+from .imaging import GrayImage, _smooth_blocks
 
 OPERATORS = ("sobel", "prewitt", "roberts")
 
@@ -46,19 +46,40 @@ class EdgeMap:
         return int(self.mask.sum())
 
 
+def _sobel(p: np.ndarray, side: float, gx: np.ndarray, gy: np.ndarray) -> None:
+    """gx and gy, into the given h x w arrays, of the raster that p
+    reflect-pads by 1: central differences of [1, side, 1] sums, each sum
+    taken as (p[-1] + side * p[0]) + p[+1], one sum at a time.
+
+    p is C-contiguous with h + 2 rows and w + 2 or more columns; columns
+    past w + 1 are ignored. The sums run on p's flat buffer, so each is one
+    contiguous pass; a sum that reads across a row end is never used.
+    """
+    h, w = gx.shape
+    stride = p.shape[1]
+    f = p.ravel()
+    sums, prod = np.empty(f.size), np.empty(f.size)
+    size = h * stride
+    np.multiply(f[stride:stride + size], side, out=prod[:size])
+    np.add(f[:size], prod[:size], out=sums[:size])
+    sums[:size] += f[2 * stride:]
+    rows = sums[:size].reshape(h, stride)
+    np.subtract(rows[:, 2:w + 2], rows[:, :w], out=gx)
+    size = f.size - 2
+    np.multiply(f[1:-1], side, out=prod[:size])
+    np.add(f[:-2], prod[:size], out=sums[:size])
+    sums[:size] += f[2:]
+    rows = sums.reshape(h + 2, stride)
+    np.subtract(rows[2:, :w], rows[:-2, :w], out=gy)
+
+
 def _components(values: np.ndarray, operator: str) -> tuple[np.ndarray, np.ndarray]:
     """The gx and gy rasters of gradient_raster, as C-contiguous float64."""
     a = np.asarray(values, dtype=np.float64)
     if operator in ("sobel", "prewitt"):
-        side = 2.0 if operator == "sobel" else 1.0
-        p = np.pad(a, 1, mode="reflect")
-        # central differences of [1, side, 1] sums (the 3x3 additions, in order), one sum at a time
-        sums = p[:-2] + side * p[1:-1]
-        sums += p[2:]
-        gx = sums[:, 2:] - sums[:, :-2]
-        sums = p[:, :-2] + side * p[:, 1:-1]
-        sums += p[:, 2:]
-        return gx, sums[2:] - sums[:-2]
+        gx, gy = np.empty(a.shape), np.empty(a.shape)
+        _sobel(np.pad(a, 1, mode="reflect"), 2.0 if operator == "sobel" else 1.0, gx, gy)
+        return gx, gy
     if operator == "roberts":
         p = np.pad(a, ((0, 1), (0, 1)), mode="reflect")
         return p[:-1, :-1] - p[1:, 1:], p[:-1, 1:] - p[1:, :-1]
@@ -195,19 +216,25 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
     ordered 0 < low_frac < high_frac < 1. Hysteresis keeps strong pixels
     plus weak pixels 8-connected to a strong one.
 
-    The output is that of gradient_raster, nonmax_suppress and the two
-    thresholds on the full frame, but only Sobel gx, gy and s = gx*gx +
-    gy*gy are full-frame. Only pixels with magnitude >= low can be weak, so
-    hypot, arctan2, the direction bins and the NMS gather run on the
-    candidates: the pixels with s >= low**2 * (1 - 1e-9), kept when an
-    exact re-check gives hypot >= low. max_mag is the largest hypot of the
-    pixels with s >= max(s) * (1 - 1e-9). hypot and arctan2 run on
-    contiguous gathered copies, and an elementwise loop gives each element
-    the same result wherever it sits, so every value equals the
-    full-frame one bit for bit; a neighbor's magnitude is hypot of its
-    gathered gx, gy, 0 off the raster. A candidate's tie lookup stays in
-    the candidate set: m == bwd with m >= low makes the backward neighbor
-    a candidate too.
+    The output is that of smooth_raster, gradient_raster, nonmax_suppress
+    and the two thresholds on the full frame, but only Sobel gx, gy and
+    s = gx*gx + gy*gy are full-frame. The smoothing and the Sobel sums run
+    together in smooth_raster's row blocks, each block smoothed with one
+    reflected row above and below, as the same elementwise operations in
+    the same order, so every value is the full-frame one; the smoothing
+    sums its taps in kernel order and calls no BLAS, so no value depends
+    on the CPU's BLAS kernel.
+
+    Only pixels with magnitude >= low can be weak, so hypot, arctan2, the
+    direction bins and the NMS gather run on the candidates: the pixels
+    with s >= low**2 * (1 - 1e-9), kept when an exact re-check gives
+    hypot >= low. max_mag is the largest hypot of the pixels with
+    s >= max(s) * (1 - 1e-9). hypot and arctan2 run on contiguous
+    gathered copies, and an elementwise loop gives each element the same
+    result wherever it sits, so every value equals the full-frame one bit
+    for bit; a neighbor's magnitude is hypot of its gathered gx, gy, 0 off
+    the raster. A candidate's tie lookup stays in the candidate set:
+    m == bwd with m >= low makes the backward neighbor a candidate too.
 
     Why the guard keeps every pixel that matters. Let u = 2**-53, r the
     exact sqrt(gx**2 + gy**2), B the bound (low*low or max(s)) and e the
@@ -230,9 +257,12 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
             f"thresholds must satisfy 0 < low < high < 1, got low={low_frac} high={high_frac}"
         )
     h, w = img.pixels.shape
-    gx, gy = _components(smooth_raster(img.pixels, sigma), "sobel")
-    s = gx * gx
-    s += gy * gy
+    gx, gy, s = np.empty((h, w)), np.empty((h, w)), np.empty((h, w))
+    for y0, y1, block in _smooth_blocks(img.pixels, sigma, pad=1):
+        rows = slice(y0, y1)  # no view of s outlives the loop, so `del s` frees it
+        _sobel(block, 2.0, gx[rows], gy[rows])
+        np.multiply(gx[rows], gx[rows], out=s[rows])
+        np.add(s[rows], gy[rows] * gy[rows], out=s[rows])
     max_mag = float(_hypot_where(gx, gy, s, float(s.max()))[1].max())
     if max_mag == 0.0:
         return EdgeMap(np.zeros((h, w), dtype=bool))

@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NetpbmError, ParameterError
 
@@ -188,22 +187,99 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return np.outer(k1, k1)
 
 
-def smooth_raster(values: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian-smooth a 2-D float raster; no rounding, reflected borders.
+def _block_rows(width: int) -> int:
+    """Rows per smoothing block: about 2**15 values a row pass, so a
+    block's float rows stay in L2 (32 rows at 1025 wide, 64 at 513)."""
+    return max(16, min(64, -(-(1 << 15) // width)))
 
-    Separable implementation of the kernel returned by gaussian_kernel().
+
+def _smooth_blocks(values, sigma: float, pad: int = 0):
+    """Smooth a 2-D raster one block of rows at a time (see smooth_raster).
+
+    Yields (y0, y1, block) per block of output rows y0..y1-1, in order.
+    block is C-contiguous, one row per smoothed row y0 - pad .. y1 - 1 +
+    pad, and its first w + 2 * pad columns hold columns -pad .. w - 1 +
+    pad; the border (pad 0 or 1) is filled as np.pad(smoothed, 1,
+    mode="reflect") fills it, and later columns are finite filler. block
+    is a reused buffer, valid until the next block is asked for.
+
+    Each pass runs on the flat buffers, rows laid end to end at the padded
+    row length, so every ufunc is one contiguous run; a value that reads
+    across a row end only lands in a filler column.
     """
-    k1 = _gaussian_kernel_1d(sigma)
-    radius = (len(k1) - 1) // 2
-    padded = np.pad(np.asarray(values, dtype=np.float64), radius, mode="reflect")
-    rows = sliding_window_view(padded, len(k1), axis=1) @ k1
-    return sliding_window_view(rows, len(k1), axis=0) @ k1
+    k = _gaussian_kernel_1d(sigma)
+    n = len(k)
+    a = np.asarray(values)
+    h, w = a.shape
+    # reflected once, in the input's dtype; only a block's rows become float64
+    padded = np.pad(a, (n - 1) // 2, mode="reflect")
+    stride = padded.shape[1]
+    step = _block_rows(w)
+    span = min(step, h) + 2 * pad
+    src, across, prod = (np.empty((span + n - 1) * stride) for _ in range(3))
+    block = np.zeros(span * stride)  # so filler no pass writes is finite too
+    top, bottom = (1, h - 2) if h > 1 else (0, 0)
+    left, right = (1, w - 2) if w > 1 else (0, 0)
+    for y0 in range(0, h, step):
+        y1 = min(y0 + step, h)
+        lo, hi = max(y0 - pad, 0), min(y1 + pad, h)
+        # smoothed rows lo..hi-1 read padded rows lo .. hi + n - 2
+        size = (hi - lo + n - 1) * stride
+        src[:size] = padded[lo:hi + n - 1].ravel()
+        size -= n - 1
+        np.multiply(src[:size], k[0], out=across[:size])
+        for i in range(1, n):
+            np.multiply(src[i:i + size], k[i], out=prod[:size])
+            across[:size] += prod[:size]
+        size = (hi - lo - 1) * stride + w
+        start = (lo - y0 + pad) * stride + pad
+        out = block[start:start + size]
+        np.multiply(across[:size], k[0], out=out)
+        for i in range(1, n):
+            np.multiply(across[i * stride:i * stride + size], k[i], out=prod[:size])
+            out += prod[:size]
+        rows = block[:(y1 - y0 + 2 * pad) * stride].reshape(-1, stride)
+        if pad:
+            if y0 == 0:
+                rows[0] = rows[top + 1]
+            if y1 == h:
+                rows[h - y0 + 1] = rows[bottom - y0 + 1]
+            rows[:, 0] = rows[:, left + 1]
+            rows[:, w + 1] = rows[:, right + 1]
+        yield y0, y1, rows
+
+
+def smooth_raster(values: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian-smooth a 2-D raster into float64; no rounding, reflected
+    borders.
+
+    Separable form of the kernel returned by gaussian_kernel(): a row pass,
+    then a column pass, each summing the taps in kernel order, k[0]*v[0]
+    and then += k[i]*v[i]. Every product and every sum is its own numpy
+    ufunc, rounded once, so no fused multiply-add and no BLAS kernel can
+    change a bit. Rows go in blocks of _block_rows(width), each converting
+    only its own rows of the reflect-padded input to float64.
+    """
+    a = np.asarray(values)
+    out = np.empty(a.shape)
+    for y0, y1, block in _smooth_blocks(a, sigma):
+        out[y0:y1] = block[:, :a.shape[1]]
+    return out
 
 
 def gaussian_smooth(img: GrayImage, sigma: float) -> GrayImage:
-    """Gaussian blur with kernel radius ceil(3 sigma); result re-quantized."""
-    smoothed = smooth_raster(img.pixels, sigma)
-    return GrayImage(round_half_away(smoothed).astype(np.uint8))
+    """Gaussian blur with kernel radius ceil(3 sigma); result re-quantized.
+
+    The values of smooth_raster, in the same row blocks, each rounded as
+    floor(v + 0.5) straight into the uint8 output. That is round_half_away,
+    since every smoothed value of an 8-bit image is >= 0.
+    """
+    out = np.empty(img.pixels.shape, dtype=np.uint8)
+    for y0, y1, block in _smooth_blocks(img.pixels, sigma):
+        block += 0.5
+        np.floor(block, out=block)
+        out[y0:y1] = block[:, :out.shape[1]]
+    return GrayImage(out)
 
 
 _MEDIAN_BLOCK_ROWS = 128
@@ -304,4 +380,4 @@ def contrast_stretch(img: GrayImage) -> GrayImage:
     stretched = round_half_away((levels - lo) * 255.0 / (hi - lo))
     # entries outside [lo, hi] are never indexed; clip keeps the cast safe
     lut = np.clip(stretched, 0, 255).astype(np.uint8)
-    return GrayImage(lut[img.pixels])
+    return GrayImage(lut.take(img.pixels))

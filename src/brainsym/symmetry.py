@@ -55,6 +55,8 @@ def brain_mask(img: GrayImage) -> np.ndarray:
     threshold = 1 + int(np.argmax(between))
     mask = pixels >= threshold
     labels, count = ndimage.label(mask, structure=EIGHT_CONNECTED)
+    if count == 1:  # the only label is 1, so labels == 1 is the mask itself
+        return mask
     sizes = np.bincount(labels.ravel(), minlength=count + 1)
     sizes[0] = 0
     return labels == int(np.argmax(sizes))

@@ -88,15 +88,40 @@ def brute_row_midpoints(mask, min_span, require_mid_on_mask=False):
     return pairs
 
 
-def _reflect(i, n):
-    """Index i of a length-n axis under reflect padding (edge not repeated)."""
+def reflect_index(i, n):
+    """Index i of a length-n axis under reflect padding (edge not repeated),
+    folded as often as it takes, as np.pad(..., "reflect") does when the
+    pad is wider than the axis."""
     if n == 1:
         return 0
-    if i < 0:
-        return -i
-    if i >= n:
-        return 2 * (n - 1) - i
-    return i
+    i %= 2 * (n - 1)
+    return i if i < n else 2 * (n - 1) - i
+
+
+def brute_smooth(values, kernel):
+    """Separable smoothing with the odd-length 1-D kernel, one value at a
+    time on reflected borders: a row pass, then a column pass over its
+    result, each summing the taps in kernel order,
+
+        acc = k[0] * v[0];  acc += k[i] * v[i]  for i = 1 .. len(k) - 1,
+
+    where v[i] is the value i - radius places along, in plain python float
+    arithmetic."""
+    a = np.asarray(values, dtype=np.float64).tolist()
+    k = [float(t) for t in kernel]
+    r = (len(k) - 1) // 2
+    height, width = len(a), len(a[0])
+
+    def taps(read, at):
+        acc = k[0] * read(at - r)
+        for i in range(1, len(k)):
+            acc += k[i] * read(at - r + i)
+        return acc
+
+    rows = [[taps(lambda x: a[y][reflect_index(x, width)], x) for x in range(width)]
+            for y in range(height)]
+    return np.array([[taps(lambda y: rows[reflect_index(y, height)][x], y) for x in range(width)]
+                     for y in range(height)])
 
 
 def brute_gradient(values, operator):
@@ -114,7 +139,7 @@ def brute_gradient(values, operator):
     height, width = a.shape
 
     def p(y, x):
-        return a[_reflect(y, height), _reflect(x, width)]
+        return a[reflect_index(y, height), reflect_index(x, width)]
 
     gx = np.empty((height, width))
     gy = np.empty((height, width))

@@ -24,9 +24,15 @@ from brainsym import (
     save_netpbm,
     smooth_raster,
 )
-from brainsym.imaging import _median_rank_select
+from brainsym.imaging import _block_rows, _gaussian_kernel_1d, _median_rank_select
 
-from oracles import brute_median, gaussian_kernel_oracle
+from oracles import (
+    brute_median,
+    brute_smooth,
+    gaussian_kernel_oracle,
+    reflect_index,
+    round_half_away_scalar,
+)
 
 
 def test_round_half_away():
@@ -219,6 +225,72 @@ def test_gaussian_sigma_validation():
             gaussian_kernel(sigma)
         with pytest.raises(ParameterError):
             smooth_raster(np.zeros((1, 1)), sigma)
+
+
+def test_reflect_index_matches_np_pad():
+    # pads up to 5x the axis, so the index folds back and forth repeatedly
+    for n in range(1, 7):
+        for pad in range(0, 5 * n + 3):
+            want = np.pad(np.arange(n), pad, mode="reflect")
+            assert want.tolist() == [reflect_index(i - pad, n) for i in range(n + 2 * pad)], (n, pad)
+
+
+def _check_smooth(raw, sigma):
+    want = brute_smooth(raw, _gaussian_kernel_1d(sigma))
+    got = smooth_raster(raw, sigma)
+    assert got.dtype == np.float64 and got.shape == raw.shape
+    assert np.array_equal(got, want)
+    rounded = [[round_half_away_scalar(v) for v in row] for row in want.tolist()]
+    assert gaussian_smooth(GrayImage(raw), sigma).pixels.tolist() == rounded
+
+
+def _smooth_shapes():
+    # heights straddling one and two row blocks; radii 1, 2, 3, 6 and 18
+    for w in (1, 2, 3):
+        b = _block_rows(w)
+        for h in (1, 2, 3, b - 1, b, b + 1, 2 * b + 1):
+            for sigma in (0.05, 0.5, 1.0, 2.0, 6.0):
+                yield h, w, sigma
+
+
+@pytest.mark.parametrize("h, w, sigma", list(_smooth_shapes()))
+def test_smooth_matches_brute_force(h, w, sigma):
+    rng = np.random.default_rng([h, w, int(sigma * 100)])
+    _check_smooth(rng.integers(0, 256, size=(h, w), dtype=np.uint8), sigma)
+
+
+@pytest.mark.parametrize("h, w", [(40, 37), (2 * _block_rows(300) + 5, 300)])
+def test_smooth_matches_brute_force_wide(h, w):
+    rng = np.random.default_rng(h * w)
+    _check_smooth(rng.integers(0, 256, size=(h, w), dtype=np.uint8), 1.0)
+
+
+def test_smooth_raster_takes_float_input():
+    rng = np.random.default_rng(12)
+    raw = rng.normal(0.0, 100.0, size=(_block_rows(5) + 3, 5))
+    assert np.array_equal(smooth_raster(raw, 1.5), brute_smooth(raw, _gaussian_kernel_1d(1.5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.uint8, st.tuples(st.integers(1, 140), st.integers(1, 6))),
+       st.floats(0.03, 3.0))
+def test_smooth_property_matches_brute_force(raw, sigma):
+    _check_smooth(raw, sigma)
+
+
+def test_gaussian_smooth_memory_at_513():
+    # 8,422,679 bytes was the peak of the full-frame smoothing on this image,
+    # 1,672,903 that of the row blocks; the cap allows 3% over the latter
+    img, _ = generate(PhantomSpec(width=513, height=513, seed=7, semi_axis_x=200,
+                                  semi_axis_y=240, lesion=LesionSpec(80, 256, 20, 60)))
+    gaussian_smooth(img, 1.0)
+    tracemalloc.start()
+    try:
+        gaussian_smooth(img, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_723_090
 
 
 # ---------------------------------------------------------------------------
