@@ -88,10 +88,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                    help="mm per pixel for area reporting (default %(default)s)")
 
 
-def _edge_map_image(mask: np.ndarray) -> GrayImage:
-    return GrayImage(mask.astype(np.uint8) * 255)
-
-
 def _compute_edges(pre: GrayImage, operator: str, config: PipelineConfig):
     if operator == "canny":
         return canny(pre, config.sigma, config.canny_low, config.canny_high)
@@ -103,7 +99,7 @@ def cmd_edges(args: argparse.Namespace) -> int:
     img = _load_gray(args.input)
     pre = preprocess(img, config)
     edge_map = _compute_edges(pre, args.operator, config)
-    save_netpbm(_edge_map_image(edge_map.mask), args.output)
+    save_netpbm(GrayImage(edge_map.mask.astype(np.uint8) * 255), args.output)
     print(f"edges={edge_map.count}")
     return EXIT_OK
 

@@ -21,6 +21,7 @@ from .errors import BrainsymError, ParameterError, PipelineError
 from .imaging import (
     GrayImage,
     RgbImage,
+    _gaussian_radius,
     contrast_stretch,
     gaussian_smooth,
     median_filter,
@@ -78,8 +79,7 @@ class PipelineConfig:
     pixel_spacing: float = 1.0      # mm per pixel
 
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise ParameterError(f"sigma must be finite and > 0, got {self.sigma}")
+        _gaussian_radius(self.sigma)
         if self.median_window != 0 and (self.median_window < 3 or self.median_window % 2 == 0):
             raise ParameterError(f"median_window must be 0 or odd >= 3, got {self.median_window}")
         if not (0.0 < self.canny_low < self.canny_high < 1.0):
@@ -218,7 +218,7 @@ def connected_components(mask: np.ndarray, min_area: int) -> list[Region]:
             ry, rx = ys + y0, xs + x0
             regions.append(
                 Region(
-                    pixels=frozenset(zip((int(x) for x in rx), (int(y) for y in ry))),
+                    pixels=frozenset(zip(rx.tolist(), ry.tolist())),
                     area_px=int(ys.size),
                     bbox=(int(rx.min()), int(ry.min()), int(rx.max()), int(ry.max())),
                     centroid=(float(rx.mean()), float(ry.mean())),

@@ -147,24 +147,24 @@ def _direction_bins(orientation: np.ndarray) -> np.ndarray:
 _NMS_BLOCK_ROWS = 64
 
 
-def _suppress(centre, m, bins, width, mag_at, survived):
+def _suppress(centre, m, bins, width, padded, survived):
     """Non-maximum suppression with the (y, x) tie rule at the flat indices
     `centre` of a raster zero-padded by 1, `width` columns wide.
 
     `m` and `bins` are the magnitudes and direction bins at `centre`, and
-    `mag_at(q)` gives the magnitudes at padded flat indices q, 0 on the
-    padding. In a padded row the forward neighbor of bin 0, 1, 2, 3 (east,
-    south-east, south, south-west) is 1, width+1, width, width-1 flat
-    elements on, and the backward one (west, north-west, north, north-east)
-    as many back. The backward neighbor always precedes the pixel in (y, x)
-    order, so the tie rule reads the flat bool `survived` at that index.
-    Survivors are stored there before the lookup; each call must come
-    after the calls for every earlier pixel whose survival it can read.
+    `padded` is the flat padded magnitude raster, 0 on the padding. In a
+    padded row the forward neighbor of bin 0, 1, 2, 3 (east, south-east,
+    south, south-west) is 1, width+1, width, width-1 flat elements on, and
+    the backward one (west, north-west, north, north-east) as many back.
+    The backward neighbor always precedes the pixel in (y, x) order, so
+    the tie rule reads the flat bool `survived` at that index. Survivors
+    are stored there before the lookup; each call must come after the
+    calls for every earlier pixel whose survival it can read.
     """
     step = np.array([1, width + 1, width, width - 1], dtype=np.intp)[bins]
     back = centre - step
-    bwd = mag_at(back)
-    kept = (m >= mag_at(centre + step)) & (m >= bwd)
+    bwd = padded.take(back)
+    kept = (m >= padded.take(centre + step)) & (m >= bwd)
     survived[centre] = kept
     return kept & ~(survived[back] & (m == bwd))
 
@@ -193,14 +193,15 @@ def nonmax_suppress(field: GradientField) -> np.ndarray:
     for y0 in range(0, h, _NMS_BLOCK_ROWS):
         y1 = min(y0 + _NMS_BLOCK_ROWS, h)
         centre = np.arange(y0 + 1, y1 + 1, dtype=np.intp)[:, None] * width + cols
-        out[y0:y1] = _suppress(centre, mag[y0:y1], bins[y0:y1], width, pm.take, survived)
+        out[y0:y1] = _suppress(centre, mag[y0:y1], bins[y0:y1], width, pm, survived)
     return out
 
 
 def _hypot_where(gx, gy, s, bound):
     """Flat indices and magnitudes of the pixels with s >= bound * (1 - 1e-9),
-    or of every pixel when bound < 1e-300; see canny() for why this keeps
-    every pixel whose magnitude reaches sqrt(bound)."""
+    or of every pixel when bound < 1e-300. With bound = low_frac**2 * max(s)
+    this keeps the pixel of largest magnitude and every pixel whose
+    magnitude reaches low_frac times that; see canny() for why."""
     if bound >= 1e-300:
         idx = np.flatnonzero(s >= bound * (1.0 - 1e-9))
     else:
@@ -226,31 +227,35 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
     on the CPU's BLAS kernel.
 
     Only pixels with magnitude >= low can be weak, so hypot, arctan2, the
-    direction bins and the NMS gather run on the candidates: the pixels
-    with s >= low**2 * (1 - 1e-9), kept when an exact re-check gives
-    hypot >= low. max_mag is the largest hypot of the pixels with
-    s >= max(s) * (1 - 1e-9). hypot and arctan2 run on contiguous
-    gathered copies, and an elementwise loop gives each element the same
-    result wherever it sits, so every value equals the full-frame one bit
-    for bit; a neighbor's magnitude is hypot of its gathered gx, gy, 0 off
-    the raster. A candidate's tie lookup stays in the candidate set:
-    m == bwd with m >= low makes the backward neighbor a candidate too.
+    direction bins and the NMS run on the candidates of one pass, the
+    pixels with s >= B (1 - 1e-9) for B = low_frac**2 * max(s). These hold
+    the pixel of largest hypot, so max_mag is their largest magnitude, and
+    every pixel reaching low, which an exact re-check keeps. hypot and
+    arctan2 run on contiguous gathered copies, and an elementwise loop
+    gives each element the same result wherever it sits, so every value
+    equals the full-frame one bit for bit. NMS reads neighbors from a
+    zero-padded raster of the kept magnitudes, built once gx and gy are
+    freed: any other pixel has hypot < low <= m, so like 0 it can neither
+    beat nor tie a candidate (if low is 0, no pixel is left out).
 
     Why the guard keeps every pixel that matters. Let u = 2**-53, r the
-    exact sqrt(gx**2 + gy**2), B the bound (low*low or max(s)) and e the
-    relative error of hypot; e <= 8u allows 4 ulps, and libm's hypot is
-    within 1. The two rounded squares and their rounded sum lose at most a
-    relative 3u, plus an absolute 2**-1073 at most where a square or the
-    sum is subnormal or underflows to 0. A pixel with hypot >= low has
-    r**2 >= low**2 (1 - 2e), so s >= B (1 - 2e - 4u) - 2**-1073. The
-    pixel of largest hypot has r**2 >= (1 - 4e) times that of the pixel
-    of largest s, so its s >= max(s) (1 - 4e - 6u) - 2**-1072. The guarded
-    bound B (1 - 1e-9) is at most B (1 - 1e-9 + 2u) once rounded, and
-    1e-9 exceeds 4e + 8u <= 40u by more than 10**5. While B >= 1e-300 the
-    slack, over 1e-310, also exceeds 2**-1072 < 2e-323 by more than
-    10**12. Below that, as when low_frac is tiny, s and low**2 can be
-    subnormal or 0, so every pixel is taken. Nothing overflows: smoothing
-    keeps a uint8 image in [0, 255], so |gx|, |gy| <= 1020.
+    exact sqrt(gx**2 + gy**2) and e <= 8u the relative error of hypot (4
+    ulps; libm's is within 1). The rounded squares and sum lose at most a
+    relative 3u, plus an absolute 2**-1073 where a square or the sum is
+    subnormal or 0. The pixel of largest hypot has r**2 >= (1 - 4e) times
+    that of the pixel of largest s, so its s >= max(s) (1 - 4e - 6u) -
+    2**-1072, and B <= max(s) as low_frac**2 < 1 rounds to at most 1. A
+    pixel with hypot >= low has s >= low**2 (1 - 2e - 4u) - 2**-1073, and
+    low**2 >= B (1 - 2e - 8u) - 2**-1073: low is low_frac times, rounded,
+    a hypot at least (1 - e) times the largest r, whose square is at least
+    max(s) (1 - 3u) - 2**-1073, and B is rounded twice. Both s are then
+    >= B (1 - 4e - 12u) - 2**-1072. The guarded bound is at most
+    B (1 - 1e-9 + 2u) once rounded, and 1e-9 exceeds 4e + 14u <= 46u by
+    over 10**5. While B >= 1e-300 the slack, over 1e-310, also exceeds
+    2**-1072 < 2e-323 by over 10**12. Below that, as when low_frac is
+    tiny, s and B can be subnormal or 0, so every pixel is taken. Nothing
+    overflows: smoothing keeps a uint8 image in [0, 255], so |gx|, |gy|
+    <= 1020.
     """
     if not (0.0 < low_frac < high_frac < 1.0):
         raise ParameterError(
@@ -263,29 +268,21 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
         _sobel(block, 2.0, gx[rows], gy[rows])
         np.multiply(gx[rows], gx[rows], out=s[rows])
         np.add(s[rows], gy[rows] * gy[rows], out=s[rows])
-    max_mag = float(_hypot_where(gx, gy, s, float(s.max()))[1].max())
+    idx, m = _hypot_where(gx, gy, s, low_frac * low_frac * float(s.max()))
+    del s
+    max_mag = float(m.max())
     if max_mag == 0.0:
         return EdgeMap(np.zeros((h, w), dtype=bool))
-    low = low_frac * max_mag
-    high = high_frac * max_mag
-    idx, m = _hypot_where(gx, gy, s, low * low)
-    del s
-    reach = m >= low
+    reach = m >= low_frac * max_mag
     idx, m = idx[reach], m[reach]
-
-    def mag_at(q):
-        y, x = np.divmod(q, w + 2)
-        inside = (y >= 1) & (y <= h) & (x >= 1) & (x <= w)
-        i = ((y - 1) * w + (x - 1))[inside]
-        out = np.zeros(q.shape)
-        out[inside] = np.hypot(gx.take(i), gy.take(i))
-        return out
-
     bins = _direction_bins(_orientation(gx.take(idx), gy.take(idx)))
-    survived = np.zeros((h + 2) * (w + 2), dtype=bool)
+    del gx, gy
     # pixel y * w + x sits at (y + 1) * (w + 2) + x + 1 in the padded raster
-    kept = _suppress(idx + 2 * (idx // w) + (w + 3), m, bins, w + 2, mag_at, survived)
-    weak, strong = idx[kept], idx[kept & (m >= high)]
+    centre = idx + 2 * (idx // w) + (w + 3)
+    padded = np.zeros((h + 2) * (w + 2))
+    padded[centre] = m
+    kept = _suppress(centre, m, bins, w + 2, padded, np.zeros(padded.size, dtype=bool))
+    weak, strong = idx[kept], idx[kept & (m >= high_frac * max_mag)]
     mask = np.zeros(h * w, dtype=bool)
     mask[weak] = True
     labels, count = ndimage.label(mask.reshape(h, w), structure=EIGHT_CONNECTED)

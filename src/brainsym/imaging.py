@@ -42,14 +42,8 @@ def _as_uint8(pixels, expect_ndim: int, what: str) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-@dataclass(frozen=True, eq=False)
-class GrayImage:
-    """8-bit grayscale raster, ``pixels[y, x]`` row-major."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pixels", _as_uint8(self.pixels, 2, "GrayImage"))
+class _Raster:
+    """width and height of a raster held as pixels[y, x]."""
 
     @property
     def width(self) -> int:
@@ -61,7 +55,17 @@ class GrayImage:
 
 
 @dataclass(frozen=True, eq=False)
-class RgbImage:
+class GrayImage(_Raster):
+    """8-bit grayscale raster, ``pixels[y, x]`` row-major."""
+
+    pixels: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "pixels", _as_uint8(self.pixels, 2, "GrayImage"))
+
+
+@dataclass(frozen=True, eq=False)
+class RgbImage(_Raster):
     """8-bit color raster, ``pixels[y, x]`` holding (r, g, b)."""
 
     pixels: np.ndarray
@@ -71,14 +75,6 @@ class RgbImage:
         if arr.shape[2] != 3:
             raise ParameterError(f"RgbImage needs 3 channels, got {arr.shape[2]}")
         object.__setattr__(self, "pixels", arr)
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +167,19 @@ def rgb_to_gray(img: RgbImage) -> GrayImage:
     return GrayImage(round_half_away(gray).astype(np.uint8))
 
 
-def _gaussian_kernel_1d(sigma: float) -> np.ndarray:
+def _gaussian_radius(sigma: float) -> int:
+    """ceil(3 sigma), once sigma is finite, > 0 and small enough that the
+    kernel's 2 * radius + 1 float64 taps can form an array."""
     if not 0 < sigma < math.inf:
         raise ParameterError(f"sigma must be finite and > 0, got {sigma}")
-    radius = math.ceil(3.0 * sigma)
+    taps = np.iinfo(np.intp).max // 8  # float64 values in the largest array
+    if sigma > taps or 2 * math.ceil(3.0 * sigma) + 1 > taps:
+        raise ParameterError(f"sigma {sigma} needs a Gaussian kernel too large for any array")
+    return math.ceil(3.0 * sigma)
+
+
+def _gaussian_kernel_1d(sigma: float) -> np.ndarray:
+    radius = _gaussian_radius(sigma)
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     g1 = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
     return g1 / g1.sum()

@@ -229,6 +229,16 @@ def test_detect_bad_sigma_exit_2(phantom_paths, tmp_path):
         assert proc.returncode == 2, (sigma, proc.stderr)
 
 
+@pytest.mark.parametrize("sigma", ["1e18", "1e300", "1e308"])
+def test_detect_kernel_too_large_for_an_array_exit_2(phantom_paths, tmp_path, capsys, sigma):
+    # 1e17 still passes this check: its 4 EiB kernel fails to allocate, exit 3
+    outdir = tmp_path / "out"
+    assert cli.main(["detect", str(phantom_paths["plain"]), "-d", str(outdir), "--sigma", sigma]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not outdir.exists()
+
+
 def test_detect_missing_input_exit_4(tmp_path):
     proc = run_cli("detect", tmp_path / "missing.pgm", "-d", tmp_path)
     assert proc.returncode == 4

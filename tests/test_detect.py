@@ -17,11 +17,13 @@ from brainsym import (
     SymmetryAxis,
     asymmetry_map,
     auto_min_area,
+    canny,
     close_mask,
     connected_components,
     detect_pipeline,
     generate,
     measure,
+    preprocess,
     render_overlay,
 )
 
@@ -216,6 +218,7 @@ def test_components_match_flood_fill():
             xs = [p[0] for p in region.pixels]
             ys = [p[1] for p in region.pixels]
             assert region.area_px == len(region.pixels)
+            assert all(type(c) is int for p in region.pixels for c in p)
             assert region.bbox == (min(xs), min(ys), max(xs), max(ys))
             assert region.centroid == pytest.approx((np.mean(xs), np.mean(ys)))
 
@@ -443,6 +446,8 @@ def test_config_validation():
         dict(sigma=0.0),
         dict(sigma=float("inf")),
         dict(sigma=float("nan")),
+        dict(sigma=1e18),
+        dict(sigma=1e300),
         dict(median_window=2),
         dict(median_window=-1),
         dict(canny_low=0.3, canny_high=0.2),
@@ -471,3 +476,50 @@ def test_render_overlay_palette():
     region = result.regions[0]
     x, y = next(iter(region.pixels))
     assert overlay.pixels[y, x].tolist() == [255, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# flipping the input left-right mirrors the result: the Canny mask, the
+# region pixel sets (x -> w - 1 - x), their areas and the verdict; healthy
+# phantoms give not-found, noisy ones too
+
+# lib-1025-stress's config in the benchmark
+STRESS_CONFIG = PipelineConfig(axis_degree=2, mirror_tol=4, closing_radius=4)
+
+
+def _flip_phantom(seed, lesioned, noisy):
+    """A 257 x 257 phantom, with a seeded lesion when lesioned and seeded
+    +-8 noise, clipped to [0, 255], when noisy."""
+    rng = np.random.default_rng([seed, lesioned, noisy])
+    lesion = None
+    if lesioned:
+        dx = int(rng.choice([-1, 1]) * rng.integers(25, 51))
+        lesion = LesionSpec(dx, int(rng.integers(90, 167)), int(rng.integers(6, 13)),
+                            int(rng.integers(30, 81)))
+    img, _ = generate(PhantomSpec(seed=seed, lesion=lesion))
+    if noisy:
+        img = GrayImage(np.clip(img.pixels + rng.integers(-8, 9, img.pixels.shape), 0, 255)
+                        .astype(np.uint8))
+    return img
+
+
+@pytest.mark.parametrize("config", [PipelineConfig(), STRESS_CONFIG], ids=["default", "stress"])
+@pytest.mark.parametrize("noisy, seeds", [(False, range(12)), (True, range(100, 130))],
+                         ids=["clean", "noisy"])
+def test_flip_mirrors_edges_and_regions(config, noisy, seeds):
+    for seed in seeds:
+        for lesioned in (False, True):
+            img = _flip_phantom(seed, lesioned, noisy)
+            flipped = GrayImage(img.pixels[:, ::-1])
+            case = (seed, lesioned)
+            masks = [canny(preprocess(x, config), config.sigma, config.canny_low,
+                           config.canny_high).mask for x in (img, flipped)]
+            assert np.array_equal(masks[1], masks[0][:, ::-1]), case
+            a, b = detect_pipeline(img, config), detect_pipeline(flipped, config)
+            assert a.verdict == b.verdict, case
+            assert a.total_area_px == b.total_area_px, case
+            w = img.width
+            mirrored = {frozenset((w - 1 - x, y) for x, y in r.pixels) for r in a.regions}
+            assert mirrored == {r.pixels for r in b.regions}, case
+            if not lesioned:
+                assert a.verdict == "not-found", case

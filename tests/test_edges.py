@@ -354,6 +354,14 @@ def test_hypot_where_keeps_every_pixel_reaching_the_bound():
         idx, m = _hypot_where(gx, gy, s, low * low)
         assert np.array_equal(m, mag[idx])
         assert np.isin(np.flatnonzero(mag >= low), idx).all(), low
+    # canny's one pass, bound low_frac**2 * max(s): it keeps the maximum
+    # and every pixel reaching low_frac times it, also where that is a pixel
+    top = mag.max()
+    fracs = np.concatenate([mag[::10] / top, [1e-200, 1e-150, 0.5, 1.0 - 2.0**-52]])
+    for low_frac in fracs[(fracs > 0) & (fracs < 1)]:
+        idx, m = _hypot_where(gx, gy, s, low_frac * low_frac * float(s.max()))
+        assert m.max() == top, low_frac
+        assert np.isin(np.flatnonzero(mag >= low_frac * top), idx).all(), low_frac
 
 
 def test_canny_memory_at_513():

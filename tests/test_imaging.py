@@ -225,6 +225,10 @@ def test_gaussian_sigma_validation():
             gaussian_kernel(sigma)
         with pytest.raises(ParameterError):
             smooth_raster(np.zeros((1, 1)), sigma)
+    # kernels of 2 * ceil(3 sigma) + 1 float64 taps that no array can hold
+    for sigma in (1e18, 1e300):
+        with pytest.raises(ParameterError, match="too large"):
+            smooth_raster(np.zeros((1, 1)), sigma)
 
 
 def test_reflect_index_matches_np_pad():
