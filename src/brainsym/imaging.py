@@ -210,7 +210,9 @@ def _smooth_blocks(values, sigma: float, pad: int = 0):
 
     Each pass runs on the flat buffers, rows laid end to end at the padded
     row length, so every ufunc is one contiguous run; a value that reads
-    across a row end only lands in a filler column.
+    across a row end only lands in a filler column. The buffers are reused,
+    not allocated per tap: fresh temporaries measured no faster, and up
+    to 12% slower (ROADMAP item 2).
     """
     k = _gaussian_kernel_1d(sigma)
     n = len(k)
@@ -290,6 +292,11 @@ def gaussian_smooth(img: GrayImage, sigma: float) -> GrayImage:
 _MEDIAN_BLOCK_ROWS = 128
 
 
+def _med3(p, q, r):
+    """Element-wise median of three: max(min(p, q), min(max(p, q), r))."""
+    return np.maximum(np.minimum(p, q), np.minimum(np.maximum(p, q), r))
+
+
 def _median3(padded: np.ndarray) -> np.ndarray:
     """3x3 median of a raster padded by 1, by a min/max network.
 
@@ -297,39 +304,21 @@ def _median3(padded: np.ndarray) -> np.ndarray:
     the nine values is then med3(max3 of the three lows, med3 of the three
     mids, min3 of the three highs) over three adjacent columns (A. Paeth,
     "Median finding on a 3x3 grid", Graphics Gems, 1990): 18 min/max
-    passes. Rows go in blocks of _MEDIAN_BLOCK_ROWS through four reused
-    buffers, so memory beyond the output is O(block).
+    passes. Rows go in blocks of _MEDIAN_BLOCK_ROWS, so memory beyond the
+    output is O(block).
     """
     h, w = padded.shape[0] - 2, padded.shape[1] - 2
     out = np.empty((h, w), dtype=np.uint8)
-    rows = min(h, _MEDIAN_BLOCK_ROWS)
-    lo, mid, hi, tmp = (np.empty((rows, w + 2), dtype=np.uint8) for _ in range(4))
-    for y0 in range(0, h, rows):
-        y1 = min(y0 + rows, h)
-        n = y1 - y0
+    left, centre, right = np.s_[:, :w], np.s_[:, 1:w + 1], np.s_[:, 2:]
+    for y0 in range(0, h, _MEDIAN_BLOCK_ROWS):
+        y1 = min(y0 + _MEDIAN_BLOCK_ROWS, h)
         a, b, c = padded[y0:y1], padded[y0 + 1:y1 + 1], padded[y0 + 2:y1 + 2]
-        l, m, u, t = lo[:n], mid[:n], hi[:n], tmp[:n]
-        np.minimum(a, b, out=l)
-        np.maximum(a, b, out=u)
-        np.minimum(u, c, out=t)
-        np.maximum(u, c, out=u)
-        np.maximum(l, t, out=m)
-        np.minimum(l, t, out=l)
-        # max3 of the lows into t, min3 of the highs into l (lows are spent)
-        max_lo, min_hi, spare, med = t[:, :w], l[:, :w], u[:, :w], out[y0:y1]
-        np.maximum(l[:, :w], l[:, 1:w + 1], out=max_lo)
-        np.maximum(max_lo, l[:, 2:], out=max_lo)
-        np.minimum(u[:, :w], u[:, 1:w + 1], out=min_hi)
-        np.minimum(min_hi, u[:, 2:], out=min_hi)
-        # med3(p, q, r) = max(min(p, q), min(max(p, q), r))
-        np.minimum(m[:, :w], m[:, 1:w + 1], out=spare)
-        np.maximum(m[:, :w], m[:, 1:w + 1], out=med)
-        np.minimum(med, m[:, 2:], out=med)
-        np.maximum(spare, med, out=med)
-        np.minimum(max_lo, med, out=spare)
-        np.maximum(max_lo, med, out=med)
-        np.minimum(med, min_hi, out=med)
-        np.maximum(spare, med, out=med)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        t, hi = np.minimum(hi, c), np.maximum(hi, c)
+        lo, mid = np.minimum(lo, t), np.maximum(lo, t)
+        max_lo = np.maximum(np.maximum(lo[left], lo[centre]), lo[right])
+        min_hi = np.minimum(np.minimum(hi[left], hi[centre]), hi[right])
+        out[y0:y1] = _med3(max_lo, _med3(mid[left], mid[centre], mid[right]), min_hi)
     return out
 
 
@@ -346,15 +335,12 @@ def _median_rank_select(padded: np.ndarray, window: int) -> np.ndarray:
     h, w = padded.shape[0] - window + 1, padded.shape[1] - window + 1
     rank = window * window // 2
     med = np.zeros((h, w), dtype=np.uint8)
-    below = np.empty((h, w), dtype=bool)
-    count = np.empty((h, w), dtype=np.min_scalar_type(window * window))
     for bit in (128, 64, 32, 16, 8, 4, 2, 1):
         trial = med | bit
-        count.fill(0)
+        count = np.zeros((h, w), dtype=np.min_scalar_type(window * window))
         for dy in range(window):
             for dx in range(window):
-                np.less(padded[dy:dy + h, dx:dx + w], trial, out=below)
-                count += below
+                count += padded[dy:dy + h, dx:dx + w] < trial
         np.copyto(med, trial, where=count <= rank)
     return med
 

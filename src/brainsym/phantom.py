@@ -78,18 +78,14 @@ def _lcg_blocks(seed: int, count: int):
 
     Each block is computed from one state with the jump table, using
     uint64 wrap-around for the mod 2**64; the block's last state starts
-    the next block. The yielded array is one buffer, overwritten by the
-    next block.
+    the next block.
     """
     state = seed & Lcg64.MASK
-    buf = np.empty(min(count, _JUMP_BLOCK), dtype=np.uint64)
     for start in range(0, count, _JUMP_BLOCK):
-        block = buf[:min(_JUMP_BLOCK, count - start)]
-        np.multiply(_JUMP_MULT[:block.size], np.uint64(state), out=block)
-        np.add(block, _JUMP_INC[:block.size], out=block)
-        state = int(block[-1])
-        np.right_shift(block, 33, out=block)
-        yield block
+        n = min(_JUMP_BLOCK, count - start)
+        states = _JUMP_MULT[:n] * state + _JUMP_INC[:n]
+        state = int(states[-1])
+        yield states >> 33
 
 
 @dataclass(frozen=True)
@@ -193,8 +189,7 @@ def generate(spec: PhantomSpec) -> tuple[GrayImage, GroundTruth]:
     values = np.empty(int(np.count_nonzero(ellipse)), dtype=np.uint8)
     pos = 0
     for bits in _lcg_blocks(spec.seed, values.size):
-        np.remainder(bits, 2 * amp + 1, out=bits)
-        np.add(bits, TISSUE - amp, out=values[pos:pos + bits.size], casting="unsafe")
+        values[pos:pos + bits.size] = bits % (2 * amp + 1) + (TISSUE - amp)
         pos += bits.size
 
     img = np.full((h, w), BACKGROUND, dtype=np.uint8)

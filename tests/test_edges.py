@@ -285,6 +285,11 @@ def _canny_spec_cases():
         for sigma in (0.5, 1.0, 2.0):
             cases.append((f"{name}-s{sigma}", px, sigma, 0.1, 0.2))
     cases.append(("blocks-3x3-wide-band", blocks, 1.0, 0.02, 0.9))
+    # exact NMS ties: the (y, x) tie rule keeps the first pixel of each tie,
+    # so these two masks are not mirror images of each other
+    tied = np.array([[0, 255, 0, 255], [255, 0, 0, 255], [255, 255, 255, 255]])
+    cases.append(("tie-3x4", tied, 1.0, 0.1, 0.2))
+    cases.append(("tie-3x4-mirrored", tied[:, ::-1], 1.0, 0.1, 0.2))
     sparse = _sparse_raster()
     for low in (1e-155, 1e-160, 1e-200):
         cases.append((f"tails-low-{low:g}", sparse, 0.05, low, 0.5))

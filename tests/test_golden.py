@@ -7,8 +7,10 @@ keeps these digests changes no output byte on these inputs; a change
 that is meant to alter output must update the table and say why.
 
 The phantoms are 257x257 but for one 513x513 lesioned case, whose
-lesion edge spans rows 236..276 and so crosses the row-block seam at
-row 256 of the non-maximum suppression.
+lesion edge spans rows 236..276 and so crosses row 256: a seam of the
+64-row smoothing and Sobel blocks (_block_rows(513) = 64) and of the
+128-row blocks of the 3x3 median. One case takes a 5x5 median window,
+so it runs the rank select instead of the 3x3 network.
 """
 
 import hashlib
@@ -33,6 +35,7 @@ WIDE_FLAGS = ["--axis-degree", "2", "--mirror-tol", "4", "--closing-radius", "4"
 # case -> (phantom, extra CLI flags)
 CASES = {name: (spec, []) for name, spec in {**HEALTHY, **LESIONED}.items()}
 CASES["lesion-24-wide"] = (LESIONED["lesion-24"], WIDE_FLAGS)
+CASES["lesion-21-median5"] = (LESIONED["lesion-21"], ["--median-window", "5"])
 CASES["lesion-31-513"] = (
     PhantomSpec(width=513, height=513, seed=31, semi_axis_x=200, semi_axis_y=240,
                 lesion=LesionSpec(80, 256, 20, 60)),
@@ -64,6 +67,10 @@ GOLDEN = {
     "lesion-21": (
         "745332308acff93a8e18a18e021c64aaea63bf854860c3b92592bd04fa71141a",
         "b6d63432f4fc87d074489bac3cc026974a2ee1ed72dff6285f7ade009be9e3a9",
+    ),
+    "lesion-21-median5": (
+        "33df95060604dbdb468997e5af3f412be4c7e78f76d8bbb4f7a90ba2a7ff8af0",
+        "354dc7ad67e1258cad246d17aec27380a4335848fa3179d61b8575f36cad8051",
     ),
     "lesion-22": (
         "31ae63515726fb59232753152a1891490a8373f4de7c1d0462abbe6fbb55d7e4",

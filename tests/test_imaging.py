@@ -333,7 +333,9 @@ def _median_case(h, w, seed):
 
 
 @pytest.mark.parametrize("window", [3, 5, 9, 21, 41])
-@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (2, 3), (5, 5), (7, 12), (20, 20)],
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (2, 3), (5, 5), (7, 12), (20, 20),
+                                   # around the 128-row blocks of the 3x3 median
+                                   (127, 2), (128, 3), (129, 1), (257, 2)],
                          ids=lambda s: f"{s[0]}x{s[1]}")
 def test_median_matches_brute_force(shape, window):
     raw = _median_case(*shape, seed=shape[0] * 100 + shape[1])

@@ -208,7 +208,8 @@ def test_generate_matches_per_pixel_lcg_at_block_edges(shape, draws, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_block_draws_equal_next_bits(seed):
     count = 3 * _JUMP_BLOCK + 5
-    blocks = [bits.copy() for bits in _lcg_blocks(seed, count)]
+    # kept without copying: each block is its own array
+    blocks = list(_lcg_blocks(seed, count))
     assert [b.size for b in blocks] == [_JUMP_BLOCK] * 3 + [5]
     rng = Lcg64(seed)
     assert np.concatenate(blocks).tolist() == [rng.next_bits() for _ in range(count)]
