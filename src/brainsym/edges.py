@@ -12,7 +12,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ParameterError
-from .imaging import GrayImage, _smooth_blocks
+from .imaging import GrayImage, _block_rows, _smooth_blocks
 
 OPERATORS = ("sobel", "prewitt", "roberts")
 
@@ -218,25 +218,41 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
     plus weak pixels 8-connected to a strong one.
 
     The output is that of smooth_raster, gradient_raster, nonmax_suppress
-    and the two thresholds on the full frame, but only Sobel gx, gy and
-    s = gx*gx + gy*gy are full-frame. The smoothing and the Sobel sums run
-    together in smooth_raster's row blocks, each block smoothed with one
-    reflected row above and below, as the same elementwise operations in
-    the same order, so every value is the full-frame one; the smoothing
-    sums its taps in kernel order and calls no BLAS, so no value depends
-    on the CPU's BLAS kernel.
+    and the two thresholds on the full frame, but no full-frame float
+    raster comes before the NMS: the full-frame arrays are the NMS
+    candidate raster, the edge mask and the hysteresis labels. The
+    smoothing, the Sobel sums and s = gx*gx + gy*gy run together in
+    smooth_raster's row blocks, into block-sized buffers, each block
+    smoothed with one reflected row above and below, as the same
+    elementwise operations in the same order, so every value is the
+    full-frame one; the smoothing sums its taps in kernel order and calls
+    no BLAS, so no value depends on the CPU's BLAS kernel.
 
     Only pixels with magnitude >= low can be weak, so hypot, arctan2, the
-    direction bins and the NMS run on the candidates of one pass, the
-    pixels with s >= B (1 - 1e-9) for B = low_frac**2 * max(s). These hold
-    the pixel of largest hypot, so max_mag is their largest magnitude, and
-    every pixel reaching low, which an exact re-check keeps. hypot and
-    arctan2 run on contiguous gathered copies, and an elementwise loop
-    gives each element the same result wherever it sits, so every value
-    equals the full-frame one bit for bit. NMS reads neighbors from a
-    zero-padded raster of the kept magnitudes, built once gx and gy are
-    freed: any other pixel has hypot < low <= m, so like 0 it can neither
-    beat nor tie a candidate (if low is 0, no pixel is left out).
+    direction bins and the NMS run on candidates. Each block keeps, by
+    _hypot_where, the pixels with s >= B_k (1 - 1e-9), or every pixel
+    while B_k < 1e-300, for B_k = low_frac**2 * M_k and M_k the largest s
+    of the blocks so far; for those it takes the flat index, hypot and
+    direction bin. The full-frame pass with the final bound B =
+    low_frac**2 * max(s) would keep the pixel of largest hypot, so max_mag
+    is its magnitude, and every pixel reaching low, which an exact re-check
+    keeps. The blocks keep all of those, and that re-check alone leaves
+    exactly them:
+    - M_k is at most the final maximum M, and rounded multiplication is
+      monotone, so B_k (1 - 1e-9) <= B (1 - 1e-9), and every pixel the
+      full-frame pass keeps is kept by its block.
+    - A pixel that its block kept but the full-frame pass would not has
+      s < B (1 - 1e-9), so, as below, its hypot is under low: the re-check
+      drops it, and it cannot be the pixel of largest hypot, so no final
+      filter on s is needed.
+    - If B is under 1e-300, so is every B_k, and every pixel is kept.
+    - The largest of the blocks' maxima is max(s), with no rounding.
+    hypot and arctan2 run on contiguous gathered copies, and an elementwise
+    loop gives each element the same result wherever it sits, so every
+    value equals the full-frame one bit for bit. NMS reads neighbors from a
+    zero-padded raster of the kept magnitudes, built once the block buffers
+    are freed: any other pixel has hypot < low <= m, so like 0 it can
+    neither beat nor tie a candidate (if low is 0, no pixel is left out).
 
     Why the guard keeps every pixel that matters. Let u = 2**-53, r the
     exact sqrt(gx**2 + gy**2) and e <= 8u the relative error of hypot (4
@@ -262,21 +278,27 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
             f"thresholds must satisfy 0 < low < high < 1, got low={low_frac} high={high_frac}"
         )
     h, w = img.pixels.shape
-    gx, gy, s = np.empty((h, w)), np.empty((h, w)), np.empty((h, w))
+    step = min(_block_rows(w), h)
+    gx_buf, gy_buf, s_buf = np.empty((step, w)), np.empty((step, w)), np.empty((step, w))
+    top = 0.0
+    parts = []
     for y0, y1, block in _smooth_blocks(img.pixels, sigma, pad=1):
-        rows = slice(y0, y1)  # no view of s outlives the loop, so `del s` frees it
-        _sobel(block, 2.0, gx[rows], gy[rows])
-        np.multiply(gx[rows], gx[rows], out=s[rows])
-        np.add(s[rows], gy[rows] * gy[rows], out=s[rows])
-    idx, m = _hypot_where(gx, gy, s, low_frac * low_frac * float(s.max()))
-    del s
+        gx, gy, s = gx_buf[:y1 - y0], gy_buf[:y1 - y0], s_buf[:y1 - y0]
+        _sobel(block, 2.0, gx, gy)
+        np.multiply(gx, gx, out=s)
+        np.add(s, gy * gy, out=s)
+        top = max(top, float(s.max()))
+        i, m = _hypot_where(gx, gy, s, low_frac * low_frac * top)
+        parts.append((i + y0 * w, m, _direction_bins(_orientation(gx.take(i), gy.take(i)))))
+    # freed before the NMS, whose peak would otherwise hold them too
+    del gx_buf, gy_buf, s_buf, gx, gy, s, block, i
+    idx, m, bins = (np.concatenate(p) for p in zip(*parts))
+    del parts
     max_mag = float(m.max())
     if max_mag == 0.0:
         return EdgeMap(np.zeros((h, w), dtype=bool))
     reach = m >= low_frac * max_mag
-    idx, m = idx[reach], m[reach]
-    bins = _direction_bins(_orientation(gx.take(idx), gy.take(idx)))
-    del gx, gy
+    idx, m, bins = idx[reach], m[reach], bins[reach]
     # pixel y * w + x sits at (y + 1) * (w + 2) + x + 1 in the padded raster
     centre = idx + 2 * (idx // w) + (w + 3)
     padded = np.zeros((h + 2) * (w + 2))

@@ -289,7 +289,9 @@ def gaussian_smooth(img: GrayImage, sigma: float) -> GrayImage:
     return GrayImage(out)
 
 
-_MEDIAN_BLOCK_ROWS = 128
+# rows per block of the uint8 kernels (3x3 median, contrast LUT, histogram):
+# bounds their temporaries, intp index copies included, to one block
+_BLOCK_ROWS = 128
 
 
 def _med3(p, q, r):
@@ -304,14 +306,14 @@ def _median3(padded: np.ndarray) -> np.ndarray:
     the nine values is then med3(max3 of the three lows, med3 of the three
     mids, min3 of the three highs) over three adjacent columns (A. Paeth,
     "Median finding on a 3x3 grid", Graphics Gems, 1990): 18 min/max
-    passes. Rows go in blocks of _MEDIAN_BLOCK_ROWS, so memory beyond the
+    passes. Rows go in blocks of _BLOCK_ROWS, so memory beyond the
     output is O(block).
     """
     h, w = padded.shape[0] - 2, padded.shape[1] - 2
     out = np.empty((h, w), dtype=np.uint8)
     left, centre, right = np.s_[:, :w], np.s_[:, 1:w + 1], np.s_[:, 2:]
-    for y0 in range(0, h, _MEDIAN_BLOCK_ROWS):
-        y1 = min(y0 + _MEDIAN_BLOCK_ROWS, h)
+    for y0 in range(0, h, _BLOCK_ROWS):
+        y1 = min(y0 + _BLOCK_ROWS, h)
         a, b, c = padded[y0:y1], padded[y0 + 1:y1 + 1], padded[y0 + 2:y1 + 2]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         t, hi = np.minimum(hi, c), np.maximum(hi, c)
@@ -371,4 +373,9 @@ def contrast_stretch(img: GrayImage) -> GrayImage:
     stretched = round_half_away((levels - lo) * 255.0 / (hi - lo))
     # entries outside [lo, hi] are never indexed; clip keeps the cast safe
     lut = np.clip(stretched, 0, 255).astype(np.uint8)
-    return GrayImage(lut.take(img.pixels))
+    # take() copies its indices to intp, so it gets one block of rows at a time
+    out = np.empty(img.pixels.shape, dtype=np.uint8)
+    for y0 in range(0, img.height, _BLOCK_ROWS):
+        rows = slice(y0, y0 + _BLOCK_ROWS)
+        lut.take(img.pixels[rows], out=out[rows])
+    return GrayImage(out)

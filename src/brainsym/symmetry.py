@@ -15,7 +15,7 @@ from scipy import ndimage
 
 from .edges import EIGHT_CONNECTED
 from .errors import GeometryError, ParameterError, SingularSystemError
-from .imaging import GrayImage, round_half_away
+from .imaging import _BLOCK_ROWS, GrayImage, round_half_away
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,11 @@ def brain_mask(img: GrayImage) -> np.ndarray:
     {v < t} / {v >= t} over the 256-bin histogram; ties pick the smallest t.
     """
     pixels = img.pixels
-    hist = np.bincount(pixels.ravel(), minlength=256).astype(np.float64)
+    # bincount copies its input to intp, so it counts one block of rows at a time
+    hist = np.zeros(256, dtype=np.intp)
+    for y0 in range(0, pixels.shape[0], _BLOCK_ROWS):
+        hist += np.bincount(pixels[y0:y0 + _BLOCK_ROWS].ravel(), minlength=256)
+    hist = hist.astype(np.float64)
     total = pixels.size
     levels = np.arange(256, dtype=np.float64)
     cum_n = np.cumsum(hist)

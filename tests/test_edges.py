@@ -271,6 +271,55 @@ def _pinned_low_fracs(pixels, sigma, high):
     raise AssertionError("no edge pixel to pin low to")
 
 
+def _low_frac_past_the_bound(pixels, sigma, high, first_row):
+    """A low_frac under which an edge pixel p at or below first_row has
+    magnitude exactly low, while the bound low_frac**2 * max(s), rounded,
+    exceeds p's s even after the 1e-9 guard. That happens only where
+    low_frac**2 is subnormal and rounds up, so the bound is under 1e-300
+    and canny must take every pixel."""
+    field = gradient_raster(smooth_raster(pixels, sigma), "sobel")
+    mag = field.magnitude
+    s = field.gx * field.gx + field.gy * field.gy
+    max_mag, max_s = float(mag.max()), float(s.max())
+    ys, xs = np.nonzero(mag[first_row:] > 0)
+    for y, x in zip(ys + first_row, xs):
+        frac = _frac_giving(max_mag, float(mag[y, x]))
+        if (frac is not None and frac * frac * max_s * (1.0 - 1e-9) > s[y, x]
+                and brute_canny(pixels, sigma, frac, high)[y, x]):
+            return frac
+    raise AssertionError("no edge pixel lies past the rounded bound")
+
+
+def _running_bound_cases():
+    """Rasters of width 7, so canny's blocks are 64 rows, and three blocks
+    tall; its bound low_frac**2 * max(s) grows with the running maximum."""
+    rng = np.random.default_rng(43)
+    cases = []
+    # faint +-1-2-level texture, strongest edge in the last block: the first
+    # two blocks keep far more than the candidates; and the same upside down
+    texture = 100 + rng.integers(-2, 3, size=(3 * 64, 7))
+    texture[170:, 4:] += 150
+    for where, px in (("last", texture), ("first", texture[::-1])):
+        cases.append((f"strongest-edge-in-{where}-block", px, 1.0, 0.1, 0.2))
+        at, above = _pinned_low_fracs(px, 1.0, 0.99)
+        cases.append((f"strongest-edge-in-{where}-block-low-at-edge-pixel", px, 1.0, at, 0.99))
+        cases.append((f"strongest-edge-in-{where}-block-low-above-edge-pixel",
+                      px, 1.0, above, 0.99))
+    # isolated level-1 pixels, and the brightest two rows above the bottom:
+    # at this low_frac the bound is under 1e-300 in the first two blocks, so
+    # they take every pixel, and 4e-300 from the last block on
+    sparse = np.zeros((190, 7), dtype=int)
+    sparse[2:160:5, 1::3] = 1
+    sparse[187, 3] = 255
+    low = math.sqrt(4e-300) / 510.0
+    cases.append(("sparse-bound-rises-past-1e-300", sparse, 0.05, low, 0.5))
+    # the axis tails at sigma 0.0368 give the bottom border row magnitudes
+    # near 1e-156, edges next to the bright pixel's ring
+    low = _low_frac_past_the_bound(sparse, 0.0368, 0.5, 128)
+    cases.append(("sparse-rounded-bound-above-edge-pixel", sparse, 0.0368, low, 0.5))
+    return cases
+
+
 def _canny_spec_cases():
     rng = np.random.default_rng(31)
     cases = []
@@ -317,7 +366,7 @@ def _canny_spec_cases():
             for sigma in (1.0, 2.0):
                 px = rng.integers(0, 256, size=(h, w))
                 cases.append((f"rows-{h}x{w}-s{sigma}", px, sigma, 0.1, 0.2))
-    return cases
+    return cases + _running_bound_cases()
 
 
 CANNY_SPEC_CASES = _canny_spec_cases()
@@ -369,20 +418,43 @@ def test_hypot_where_keeps_every_pixel_reaching_the_bound():
         assert np.isin(np.flatnonzero(mag >= low_frac * top), idx).all(), low_frac
 
 
-def test_canny_memory_at_513():
-    # 15,057,508 bytes was the peak of the full-frame canny on this image,
-    # 10,624,461 that of the candidate-only canny with a full-frame front
-    # end, and 8,432,358 that of smoothing and Sobel in row blocks; the cap
-    # allows 3% over the last
-    img = _lesioned_513()
+def _canny_peak(pixels):
+    """tracemalloc peak of a canny call (sigma 1, low 0.1, high 0.2), once
+    warm."""
+    img = GrayImage(pixels)
     canny(img, 1.0, 0.1, 0.2)
     tracemalloc.start()
     try:
         canny(img, 1.0, 0.1, 0.2)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8_685_329
+
+
+def test_canny_memory_at_513():
+    # 15,057,508 bytes was the peak of the full-frame canny on this image,
+    # 10,624,461 that of the candidate-only canny with a full-frame front
+    # end, 8,432,358 that of smoothing and Sobel in row blocks, and
+    # 3,694,056 that of candidates picked in those blocks; the cap allows 3%
+    # over the last
+    assert _canny_peak(_lesioned_513().pixels) <= 3_804_878
+
+
+def _y_squared_ramp():
+    rows = np.arange(513) ** 2 * 255 // 512 ** 2
+    return np.repeat(rows.astype(np.uint8)[:, None], 513, axis=1)
+
+
+@pytest.mark.parametrize("pixels, cap", [
+    pytest.param(np.random.default_rng(53).integers(0, 256, size=(513, 513), dtype=np.uint8),
+                 18_618_540, id="random"),
+    pytest.param(_y_squared_ramp(), 17_907_478, id="y-squared-ramp"),
+])
+def test_canny_memory_where_most_pixels_are_candidates(pixels, cap):
+    # 91% (random) and 87% (ramp) of the pixels reach low, so the candidate
+    # arrays are nearly full-frame; the caps allow 1% over the peaks with the
+    # full-frame Sobel front end, 18,434,198 and 17,730,176 bytes
+    assert _canny_peak(pixels) <= cap
 
 
 # ---------------------------------------------------------------------------

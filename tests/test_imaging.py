@@ -448,3 +448,27 @@ def test_contrast_flat_unchanged():
     img = GrayImage(np.full((4, 4), 42, dtype=np.uint8))
     out = contrast_stretch(img)
     assert np.array_equal(out.pixels, img.pixels)
+
+
+@pytest.mark.parametrize("h", [127, 128, 129, 257])  # around its 128-row blocks
+def test_contrast_matches_formula_across_row_blocks(h):
+    raw = np.random.default_rng(h).integers(20, 230, size=(h, 5), dtype=np.uint8)
+    lo, hi = int(raw.min()), int(raw.max())
+    want = round_half_away((raw.astype(np.float64) - lo) * 255.0 / (hi - lo))
+    assert np.array_equal(contrast_stretch(GrayImage(raw)).pixels, want)
+
+
+def test_contrast_memory_at_513():
+    # 2,373,473 bytes was the peak of one lookup over the whole raster,
+    # whose indices take() copies to intp; the cap allows 3% over the
+    # 859,553 of the 128-row blocks
+    img, _ = generate(PhantomSpec(width=513, height=513, seed=7, semi_axis_x=200,
+                                  semi_axis_y=240, lesion=LesionSpec(80, 256, 20, 60)))
+    contrast_stretch(img)
+    tracemalloc.start()
+    try:
+        contrast_stretch(img)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 885_340

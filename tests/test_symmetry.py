@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from brainsym import (
     GeometryError,
     GrayImage,
+    LesionSpec,
     ParameterError,
+    PhantomSpec,
     SingularSystemError,
     SymmetryAxis,
     brain_mask,
     fit_axis_lsm,
+    generate,
     reflect_x,
     residual_rms,
     row_midpoints,
@@ -51,6 +56,46 @@ def test_brain_mask_keeps_largest_component():
     assert mask[10, 10]
     assert not mask[31, 31]
     assert len(flood_fill_components(mask)) == 1
+
+
+def _otsu_one_call(pixels):
+    """brain_mask's Otsu threshold, from one np.bincount over the raster."""
+    hist = np.bincount(pixels.ravel(), minlength=256).astype(np.float64)
+    cum_n, cum_s = np.cumsum(hist), np.cumsum(hist * np.arange(256.0))
+    n0, s0 = cum_n[:255], cum_s[:255]
+    n1 = pixels.size - n0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        between = n0 * n1 * (s0 / n0 - (cum_s[255] - s0) / n1) ** 2
+    between[(n0 == 0) | (n1 == 0)] = 0.0
+    return 1 + int(np.argmax(between))
+
+
+@pytest.mark.parametrize("h", [127, 128, 129, 257])  # around its 128-row blocks
+def test_brain_mask_matches_one_histogram_across_row_blocks(h):
+    rng = np.random.default_rng(h)
+    for _ in range(10):
+        px = rng.integers(0, 256, size=(h, 3)).astype(np.uint8)
+        blobs = flood_fill_components(px >= _otsu_one_call(px))
+        want = np.zeros(px.shape, dtype=bool)
+        for x, y in max(blobs, key=len):
+            want[y, x] = True
+        assert np.array_equal(brain_mask(GrayImage(px)), want)
+
+
+def test_brain_mask_memory_at_513():
+    # 2,107,688 bytes was the peak with one np.bincount over the raster,
+    # which copies it to intp; the cap allows 3% over the 1,358,902 of the
+    # 128-row blocks
+    img, _ = generate(PhantomSpec(width=513, height=513, seed=7, semi_axis_x=200,
+                                  semi_axis_y=240, lesion=LesionSpec(80, 256, 20, 60)))
+    brain_mask(img)
+    tracemalloc.start()
+    try:
+        brain_mask(img)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_399_670
 
 
 # ---------------------------------------------------------------------------
