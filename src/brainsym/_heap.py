@@ -1,16 +1,20 @@
 """Keep freed raster memory in the process heap, so that every image after
 the first runs on memory the process already has.
 
-Each image goes through the same sequence of NumPy temporaries: float64
-rasters and window copies of a few hundred KB to about 10 MB each, some
-30 MB per 513 x 513 image. Under glibc's default malloc, blocks of that
-size are either mmap'd and unmapped again on free, or freed to the top of
-the heap and trimmed back to the kernel, and glibc moves both thresholds
-as the process allocates. So the next image faults fresh zeroed pages
-back in: about 7,700 minor faults per 513 x 513 image, or 1,600 in another
-process on the same input, depending on that history. Their cost is the
-host's, and it moved per-image times by tens of percent from one run to
-the next on a shared 2-core VM.
+Each image goes through the same sequence of NumPy temporaries: rasters,
+row blocks and index arrays of a few KB to about 8 MB each (one 1025 x
+1025 float64 raster), with a tracemalloc peak of 1.5 MiB per 257 x 257
+image, 3.8 MiB per 513 x 513 one and 14.7 MiB per 1025 x 1025 one. Under
+glibc's default malloc, blocks of that size are either mmap'd and unmapped
+again on free, or freed to the top of the heap and trimmed back to the
+kernel, and glibc moves both thresholds as the process allocates. Measured
+without this call on a shared 2-core VM, 257 x 257 images never settled:
+each faulted in about 290 to 540 fresh pages, image after image, and the
+median image took 11-45% longer in each of 6 paired runs. 513 x 513 and
+1025 x 1025 images faulted in 1,150 to 1,650 pages on the first image and
+fell to 0 after the second or third. With the call, a process faults in
+at most a few pages per image from its second image on (its third at 1025
+x 1025).
 
 Fixing both thresholds keeps those blocks in the heap for reuse. The
 process's peak memory is still that of its largest image; memory freed

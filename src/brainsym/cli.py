@@ -171,7 +171,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     img = _load_gray(args.input)
     pre = preprocess(img, config)
     lines = ["operator,edges"]
-    for operator in ("sobel", "prewitt", "roberts", "canny"):
+    for operator in (*OPERATORS, "canny"):
         lines.append(f"{operator},{_compute_edges(pre, operator, config).count}")
     text = "\n".join(lines) + "\n"
     if args.output:
@@ -236,31 +236,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bilateral-symmetry tumor-candidate detection for 2-D brain slices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the input image and the pipeline flags of every image subcommand
+    image = argparse.ArgumentParser(add_help=False)
+    image.add_argument("input", help="P5/P6 input image")
+    _add_config_flags(image)
 
-    p_edges = sub.add_parser("edges", help="write an edge map and print the edge count")
-    p_edges.add_argument("input", help="P5/P6 input image")
+    p_edges = sub.add_parser("edges", parents=[image],
+                             help="write an edge map and print the edge count")
     p_edges.add_argument("-o", "--output", required=True, help="output edge map (P5)")
     p_edges.add_argument("--operator", default="canny", choices=("canny",) + OPERATORS,
                          help="edge operator (default canny)")
-    _add_config_flags(p_edges)
     p_edges.set_defaults(func=cmd_edges)
 
-    p_axis = sub.add_parser("axis", help="fit the symmetry axis and write an overlay")
-    p_axis.add_argument("input", help="P5/P6 input image")
+    p_axis = sub.add_parser("axis", parents=[image],
+                            help="fit the symmetry axis and write an overlay")
     p_axis.add_argument("-o", "--output", required=True, help="output overlay (P6)")
-    _add_config_flags(p_axis)
     p_axis.set_defaults(func=cmd_axis)
 
-    p_detect = sub.add_parser("detect", help="run the full detector, write JSON report and overlay")
-    p_detect.add_argument("input", help="P5/P6 input image")
+    p_detect = sub.add_parser("detect", parents=[image],
+                              help="run the full detector, write JSON report and overlay")
     p_detect.add_argument("-d", "--outdir", required=True, help="output directory")
-    _add_config_flags(p_detect)
     p_detect.set_defaults(func=cmd_detect)
 
-    p_report = sub.add_parser("report", help="CSV of edge counts per operator")
-    p_report.add_argument("input", help="P5/P6 input image")
+    p_report = sub.add_parser("report", parents=[image], help="CSV of edge counts per operator")
     p_report.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
-    _add_config_flags(p_report)
     p_report.set_defaults(func=cmd_report)
 
     p_phantom = sub.add_parser("phantom", help="generate a synthetic phantom plus ground truth")

@@ -137,8 +137,6 @@ def asymmetry_map(edges: EdgeMap, axis: SymmetryAxis, tol: int) -> np.ndarray:
     height, width = mask.shape
     unmatched = np.zeros((height, width), dtype=bool)
     flat = np.flatnonzero(mask)
-    if flat.size == 0:
-        return unmatched
     ys, xs = np.divmod(flat, width)
     mirror = round_half_away(reflect_x(axis, xs, ys)).astype(np.int64)
     in_bounds = (mirror >= 0) & (mirror < width)
@@ -181,8 +179,6 @@ def close_mask(mask: np.ndarray, radius: int) -> np.ndarray:
     if radius < 0:
         raise ParameterError(f"radius must be >= 0, got {radius}")
     radius = min(radius, max(mask.shape))
-    if radius == 0:
-        return mask.copy()
     closed = np.zeros(mask.shape, dtype=bool)
     box = _bbox(mask)
     if box is None:
@@ -190,7 +186,7 @@ def close_mask(mask: np.ndarray, radius: int) -> np.ndarray:
     y0, y1, x0, x1 = box
     work = np.pad(mask[y0:y1, x0:x1], radius, mode="constant", constant_values=False)
     work = ndimage.grey_closing(work, size=2 * radius + 1, mode="constant")
-    closed[y0:y1, x0:x1] = work[radius:-radius, radius:-radius]
+    closed[y0:y1, x0:x1] = work[radius:radius + y1 - y0, radius:radius + x1 - x0]
     return closed
 
 
@@ -321,7 +317,6 @@ def _paint_overlay(img: GrayImage, axis: SymmetryAxis, regions: list[Region]) ->
         rgb[y1, x0:x1 + 1] = BBOX_COLOR
         rgb[y0:y1 + 1, x0] = BBOX_COLOR
         rgb[y0:y1 + 1, x1] = BBOX_COLOR
-    painted = np.array([p for region in regions for p in region.pixels], dtype=np.int64)
-    if painted.size:
-        rgb[painted[:, 1], painted[:, 0]] = REGION_COLOR
+    painted = np.array([p for region in regions for p in region.pixels], dtype=np.int64).reshape(-1, 2)
+    rgb[painted[:, 1], painted[:, 0]] = REGION_COLOR
     return RgbImage(rgb)

@@ -143,10 +143,6 @@ def _direction_bins(orientation: np.ndarray) -> np.ndarray:
     return bins
 
 
-# rows per block in nonmax_suppress: bounds its intp index arrays
-_NMS_BLOCK_ROWS = 64
-
-
 def _suppress(centre, m, bins, width, padded, survived):
     """Non-maximum suppression with the (y, x) tie rule at the flat indices
     `centre` of a raster zero-padded by 1, `width` columns wide.
@@ -179,8 +175,9 @@ def nonmax_suppress(field: GradientField) -> np.ndarray:
 
     Both neighbors are read by one gather from the zero-padded magnitude
     (see _suppress), which copies the very values a per-bin selection
-    picks. Rows go in blocks of _NMS_BLOCK_ROWS, in order, so a block's
-    tie lookup reads survivors of its own rows and the row above.
+    picks. Rows go in blocks of _block_rows(width), in order, which bounds
+    the intp index arrays; a block's tie lookup reads survivors of its own
+    rows and the row above.
     """
     mag = field.magnitude
     h, w = mag.shape
@@ -190,8 +187,9 @@ def nonmax_suppress(field: GradientField) -> np.ndarray:
     survived = np.zeros(pm.size, dtype=bool)
     cols = np.arange(1, w + 1, dtype=np.intp)
     out = np.empty((h, w), dtype=bool)
-    for y0 in range(0, h, _NMS_BLOCK_ROWS):
-        y1 = min(y0 + _NMS_BLOCK_ROWS, h)
+    step = _block_rows(w)
+    for y0 in range(0, h, step):
+        y1 = min(y0 + step, h)
         centre = np.arange(y0 + 1, y1 + 1, dtype=np.intp)[:, None] * width + cols
         out[y0:y1] = _suppress(centre, mag[y0:y1], bins[y0:y1], width, pm, survived)
     return out

@@ -181,7 +181,13 @@ def _gaussian_radius(sigma: float) -> int:
 def _gaussian_kernel_1d(sigma: float) -> np.ndarray:
     radius = _gaussian_radius(sigma)
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
-    g1 = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
+    # for sigma below about 5e-155 the off-centre exponents overflow to
+    # -inf, so those taps are 0; the centre tap is exp(-0.0) = 1 for every
+    # sigma, set here because once 2 sigma**2 underflows to 0 its exponent
+    # is 0 / 0 = NaN
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g1 = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
+    g1[radius] = 1.0
     return g1 / g1.sum()
 
 

@@ -7,6 +7,7 @@ normal equations solved with Cramer's rule (n <= 3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +127,9 @@ def _det(a: np.ndarray, n: int) -> float:
 def solve_cramer(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = b by determinant ratios (direct expansion, n <= 3).
 
-    n is the length of rhs; matrix must be n x n.
+    n is the length of rhs; matrix must be n x n. Entries must be finite,
+    and small enough that n! m**n, m the largest absolute entry of matrix
+    and rhs, does not overflow.
     """
     a = np.asarray(matrix, dtype=np.float64)
     b = np.asarray(rhs, dtype=np.float64)
@@ -135,6 +138,12 @@ def solve_cramer(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ParameterError(f"Cramer solver handles 1-D rhs of length 1..3, got shape {b.shape}")
     if a.shape != (n, n):
         raise ParameterError(f"Cramer matrix must be {n}x{n}, got shape {a.shape}")
+    # every determinant taken, and every partial product and sum in _det,
+    # is at most n! m**n in size; a NaN m fails the compare too
+    m = float(np.abs(np.concatenate((a.ravel(), b))).max())
+    if not math.prod([m] * n, start=math.factorial(n)) < math.inf:
+        raise ParameterError(f"Cramer system needs finite entries and a finite n! m**n, "
+                             f"m the largest absolute entry; got m = {m:g}")
     det = _det(a, n)
     scale = max(1.0, float(np.abs(a).max()) ** n)
     if abs(det) <= 1e-12 * scale:
@@ -167,21 +176,17 @@ def fit_axis_lsm(samples: np.ndarray, degree: int) -> SymmetryAxis:
         )
     center = float(np.mean(ys))
     spread = float(np.max(np.abs(ys - center)))
-    if spread == 0.0:
+    if spread * spread == 0.0:  # the expansion below divides by it
         spread = 1.0
     ts = (ys - center) / spread
-    coeffs = solve_cramer(*_normal_equations(ts, xs, degree))
-    if degree == 1:
-        a0, a1 = coeffs
-        raw = (a0 - a1 * center / spread, a1 / spread)
-    else:
-        a0, a1, a2 = coeffs
-        raw = (
-            a0 - a1 * center / spread + a2 * center * center / (spread * spread),
-            a1 / spread - 2.0 * a2 * center / (spread * spread),
-            a2 / (spread * spread),
-        )
-    return SymmetryAxis(degree, tuple(float(c) for c in raw))
+    # a line is the parabola with a2 = 0
+    a0, a1, a2 = (*solve_cramer(*_normal_equations(ts, xs, degree)), 0.0)[:3]
+    raw = (
+        a0 - a1 * center / spread + a2 * center * center / (spread * spread),
+        a1 / spread - 2.0 * a2 * center / (spread * spread),
+        a2 / (spread * spread),
+    )
+    return SymmetryAxis(degree, tuple(float(c) for c in raw[:degree + 1]))
 
 
 def residual_rms(axis: SymmetryAxis, samples: np.ndarray) -> float:

@@ -170,6 +170,42 @@ def test_detect_bare_flags_give_default_config():
     assert _config_from_args(args) == PipelineConfig()
 
 
+# every field of PipelineConfig at its default, as the parser gives it
+DEFAULT_FLAGS = {
+    "sigma": 1.0, "median_window": 3, "contrast": True, "canny_low": 0.1, "canny_high": 0.2,
+    "axis_degree": 1, "min_span_frac": 0.1, "mirror_tol": 2, "closing_radius": 2,
+    "min_area": None, "pixel_spacing": 1.0,
+}
+PARSED_ARGVS = [
+    (["edges", "in.pgm", "-o", "e.pgm"], "cmd_edges",
+     {"output": "e.pgm", "operator": "canny"}),
+    (["edges", "in.pgm", "-o", "e.pgm", "--operator", "roberts", "--sigma", "2.5",
+      "--no-contrast"], "cmd_edges",
+     {"output": "e.pgm", "operator": "roberts", "sigma": 2.5, "contrast": False}),
+    (["axis", "in.pgm", "-o", "a.ppm", "--axis-degree", "2", "--min-span-frac", "0.2"],
+     "cmd_axis", {"output": "a.ppm", "axis_degree": 2, "min_span_frac": 0.2}),
+    (["detect", "in.pgm", "-d", "out"], "cmd_detect", {"outdir": "out"}),
+    (["detect", "--mirror-tol", "4", "in.pgm", "--closing-radius", "0", "-d", "out",
+      "--min-area", "7", "--pixel-spacing", "0.5", "--median-window", "5",
+      "--canny-low", "0.05", "--canny-high", "0.3"], "cmd_detect",
+     {"outdir": "out", "mirror_tol": 4, "closing_radius": 0, "min_area": 7,
+      "pixel_spacing": 0.5, "median_window": 5, "canny_low": 0.05, "canny_high": 0.3}),
+    (["detect", "in.pgm", "--outdir=out", "--sig", "3", "--axis", "2"], "cmd_detect",
+     {"outdir": "out", "sigma": 3.0, "axis_degree": 2}),
+    (["report", "in.pgm"], "cmd_report", {"output": None}),
+    (["report", "in.pgm", "-o", "r.csv", "--sigma", "1e-200", "--median-window", "0"],
+     "cmd_report", {"output": "r.csv", "sigma": 1e-200, "median_window": 0}),
+]
+
+
+@pytest.mark.parametrize("argv, func, flags", PARSED_ARGVS,
+                         ids=[" ".join(a) for a, _, _ in PARSED_ARGVS])
+def test_image_commands_parse_to_pinned_namespaces(argv, func, flags):
+    parsed = vars(build_parser().parse_args(argv))
+    assert parsed.pop("func").__name__ == func
+    assert parsed == {"command": argv[0], "input": "in.pgm", **DEFAULT_FLAGS, **flags}
+
+
 def _no_memory(*args, **kwargs):
     raise MemoryError("Unable to allocate 37.3 GiB")
 
@@ -237,6 +273,19 @@ def test_detect_kernel_too_large_for_an_array_exit_2(phantom_paths, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not outdir.exists()
+
+
+def test_detect_tiny_sigma_is_the_limit_kernel(phantom_paths, tmp_path):
+    # below sigma ~1.5e-162 the Gaussian's 2 sigma**2 underflows to 0; such
+    # a sigma smooths as every sigma under about 0.026 does: not at all
+    outputs = []
+    for sigma in ("1e-200", "1e-150"):
+        outdir = tmp_path / sigma
+        assert cli.main(["detect", str(phantom_paths["lesioned"]), "-d", str(outdir),
+                         "--sigma", sigma]) == 0
+        outputs.append([(outdir / name).read_bytes()
+                        for name in ("lesioned.report.json", "lesioned.overlay.ppm")])
+    assert outputs[0] == outputs[1]
 
 
 def test_detect_missing_input_exit_4(tmp_path):

@@ -236,6 +236,7 @@ def test_components_min_area_validation():
 def _sparse_masks():
     cases = []
     h, w = 48, 64
+    cases.append(("empty", np.zeros((h, w), dtype=bool)))  # no bounding box at all
     for name, points in (
         ("corner-top-left", [(0, 0)]),
         ("corner-top-right", [(0, w - 1)]),

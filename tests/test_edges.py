@@ -22,7 +22,7 @@ from brainsym import (
     threshold_edges,
 )
 
-from brainsym.edges import _NMS_BLOCK_ROWS, GradientField, _direction_bins, _hypot_where
+from brainsym.edges import GradientField, _direction_bins, _hypot_where
 from brainsym.imaging import _block_rows
 
 from oracles import (
@@ -485,13 +485,17 @@ def _nms_cases():
         ori = rng.integers(-3, 5, size=(h, w)) * (math.pi / 4)
         cases.append((f"plateau-{h}x{w}", mag, ori))
     # taller than one row block, height not a multiple of the block size
-    h, w = 2 * _NMS_BLOCK_ROWS + 22, 37
+    h, w = 2 * _block_rows(37) + 22, 37
     cases.append((f"blocks-{h}x{w}", rng.integers(0, 4, size=(h, w)).astype(np.float64),
                   rng.integers(-3, 5, size=(h, w)) * (math.pi / 4)))
     cases.append((f"blocks-random-{h}x{w}", rng.random((h, w)), rng.uniform(-math.pi, math.pi, (h, w))))
     bounds = _boundary_orientations()
     cases.append(("bounds", rng.integers(0, 3, size=(3, bounds.size)).astype(np.float64),
                   np.tile(bounds, (3, 1))))
+    # the same at width 1025, whose blocks are 32 rows, not 64
+    h, w = 2 * _block_rows(1025) + 22, 1025
+    cases.append((f"blocks-{h}x{w}", rng.integers(0, 4, size=(h, w)).astype(np.float64),
+                  rng.integers(-3, 5, size=(h, w)) * (math.pi / 4)))
     return cases
 
 

@@ -19,8 +19,8 @@ def minor_faults():
 
 @pytest.mark.skipif(not glibc(), reason="needs glibc malloc")
 def test_repeated_images_reuse_freed_memory():
-    # with glibc's default thresholds each 257^2 image faulted in about
-    # 2,200 fresh pages; only the first one should need new memory now
+    # with glibc's default thresholds every 257^2 image faults in about 290
+    # to 540 fresh pages; only the first one should need new memory now
     img, _ = generate(PhantomSpec(seed=3, lesion=LesionSpec(30, 128, 10, 60)))
     for _ in range(2):
         render_overlay(img, detect_pipeline(img))

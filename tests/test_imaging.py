@@ -194,6 +194,16 @@ def test_gaussian_preserves_constants(sigma):
     assert np.array_equal(gaussian_smooth(img, sigma).pixels, img.pixels)
 
 
+@pytest.mark.parametrize("sigma", [5e-324, 1e-300, 1e-200, 1.5e-162, 1e-161, 1e-155])
+def test_gaussian_kernel_of_tiny_sigma_is_the_limit(sigma):
+    # 2 sigma**2 underflows to 0 or a subnormal here; the kernel must still
+    # be the [0, 1, 0] that every sigma below about 0.026 gives
+    assert _gaussian_kernel_1d(sigma).tolist() == [0.0, 1.0, 0.0]
+    assert np.array_equal(gaussian_kernel(sigma), gaussian_kernel(1e-150))
+    raw = np.random.default_rng(3).integers(0, 256, size=(5, 6), dtype=np.uint8)
+    assert np.array_equal(gaussian_smooth(GrayImage(raw), sigma).pixels, raw)
+
+
 def test_gaussian_impulse_center_value():
     img = np.zeros((21, 21), dtype=np.uint8)
     img[10, 10] = 255

@@ -214,6 +214,25 @@ def test_cramer_size_validation():
             solve_cramer(matrix, rhs)
 
 
+@pytest.mark.parametrize("matrix, rhs", [
+    (np.diag([1e200, 1e200]), np.ones(2)),     # 2! m**2 overflows
+    (np.diag([1e120] * 3), np.ones(3)),        # 3! m**3 overflows
+    (np.eye(2) * 1e150, np.array([1e200, 1.0])),  # a numerator would overflow
+    (np.array([[np.nan]]), np.ones(1)),
+    (np.eye(2), np.array([np.inf, 1.0])),
+    (np.array([[1.0, -np.inf], [0.0, 1.0]]), np.ones(2)),
+], ids=["2x2-1e200", "3x3-1e120", "rhs-1e200", "nan-matrix", "inf-rhs", "inf-matrix"])
+def test_cramer_rejects_non_finite_and_overflowing_systems(matrix, rhs):
+    with pytest.raises(ParameterError):
+        solve_cramer(matrix, rhs)
+
+
+def test_cramer_solves_large_entries_in_range():
+    # 2 * (1e150)**2 and 6 * (1e100)**3 are finite, so these still solve
+    assert solve_cramer(np.diag([1e150, 1e150]), np.array([1e150, 2e150])).tolist() == [1.0, 2.0]
+    assert solve_cramer(np.diag([1e100] * 3), np.full(3, 1e100)).tolist() == [1.0, 1.0, 1.0]
+
+
 def test_cramer_matches_elimination_oracle():
     rng = np.random.default_rng(37)
     checked = 0
@@ -271,6 +290,15 @@ def test_fit_degree_two_at_image_scale():
     samples = np.array([[y, 120.0 + 0.05 * y - 0.0002 * y * y] for y in range(0, 250)])
     axis = fit_axis_lsm(samples, 2)
     assert axis.coeffs == pytest.approx((120.0, 0.05, -0.0002), abs=1e-9)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_fit_rows_too_close_to_square_are_singular(degree):
+    # rows 1e-200 apart: the squared spread of the row coordinate is 0, so
+    # the fit reports degenerate geometry instead of dividing by it
+    samples = np.array([[0.0, 3.0], [1e-200, 4.0], [5e-201, 2.0]])
+    with pytest.raises(SingularSystemError):
+        fit_axis_lsm(samples, degree)
 
 
 def test_fit_is_least_squares_optimal():
