@@ -1,0 +1,147 @@
+"""8-connected components of bool rasters, labeled from their row runs.
+
+A run is a maximal stretch of set pixels in one row. Runs are held as
+flat [start, end) indices in a frame one column wider than the raster
+(stride w + 1) whose extra column is never set, so no run crosses a row
+end, and are numbered in raster order. A run with columns [a, b) on row
+r and one with [c, d) on row r + 1 are 8-connected exactly when a <= d
+and c <= b; in the frame that is start <= end' - stride and end >=
+start' - stride, and no run of another row passes both tests. So the
+runs that run j touches on the row above are one span lo[j] .. lo[j] +
+above[j] - 1 of the run numbers, found by two binary searches
+(run-based labeling, as in He, Chao and Suzuki 2008).
+
+label_runs first joins the runs of each span into one group, by a
+difference array: the marks lo[j] .. lo[j] + above[j] - 2 of different
+spans are disjoint (two runs of a row share at most one run above them),
+so no two marks collide and one int8 cumsum finds every join. Each run
+then adds one edge from its group to the group of the run above it; runs
+of one group that follow each other give the same edge, which is
+dropped. Components are found on the groups by min-label hooking with
+full pointer jumping (after Shiloach and Vishkin 1982): each round hooks
+every root with a live edge onto the smallest root it meets, then points
+every group at its root. Hooks only go to smaller roots, so there is no
+cycle, and a component ends rooted at its smallest group, which holds
+its first run in raster order. That run numbers the component, so
+numbering the components in the order of their first runs gives
+ndimage.label's numbering.
+
+Cost, for R runs and G <= R groups: O(R log R) for the binary searches,
+O(R) for the joins and edges, O(E) per hooking round for the E <= R
+edges left, and O(G) per jump. The rounds and jumps depend on the shape:
+one to three rounds on random masks, checkerboards, combs, serpentines
+and diagonal stripes, and about log2 of the longest chain of groups
+hooked one onto the next in jumps (13 in all on a 1025^2 comb, whose
+teeth are such chains). The worst case is a raster of short runs, such
+as a checkerboard (a run for every other pixel) or uniform noise: each
+run holds a few int32 and intp entries, where ndimage.label writes one
+int32 per pixel. On a 1025^2 checkerboard that took about ten times
+ndimage.label's time and four times its memory; on a filled ellipse
+like an Otsu mask it was about eight times faster.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .imaging import _BLOCK_ROWS
+
+
+def _index_type(size: int):
+    return np.int32 if size < 2**31 else np.intp
+
+
+def mask_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of a 2-D bool mask, as (starts, ends) in the frame of
+    stride w + 1."""
+    h, w = mask.shape
+    stride = w + 1
+    change = np.empty((h, stride), dtype=bool)
+    change[:, 0] = mask[:, 0]
+    np.not_equal(mask[:, 1:], mask[:, :-1], out=change[:, 1:w])
+    change[:, w] = mask[:, w - 1]
+    kind = _index_type(change.size)
+    starts = np.empty(np.count_nonzero(change) // 2, dtype=kind)
+    ends = np.empty_like(starts)
+    # a row's changes alternate start, end, since its extra column is clear;
+    # taken a row block at a time, so the intp indices are one block's
+    done = 0
+    for y0 in range(0, h, _BLOCK_ROWS):
+        bounds = np.flatnonzero(change[y0:y0 + _BLOCK_ROWS]) + y0 * stride
+        count = bounds.size // 2
+        starts[done:done + count] = bounds[0::2]
+        ends[done:done + count] = bounds[1::2]
+        done += count
+    return starts, ends
+
+
+def index_runs(flat: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of the pixels at sorted, distinct flat indices of a raster
+    of the given shape, as (starts, ends, the run of each index)."""
+    h, w = shape
+    kind = _index_type(h * (w + 1))
+    pos = (flat + flat // w).astype(kind)
+    new = np.empty(pos.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(pos[1:], pos[:-1] + 1, out=new[1:])
+    first = np.flatnonzero(new).astype(kind)
+    last = np.empty_like(first)
+    last[:-1] = first[1:] - 1
+    last[-1:] = pos.size - 1
+    return pos[first], pos[last] + 1, np.cumsum(new, dtype=kind) - 1
+
+
+def label_runs(starts: np.ndarray, ends: np.ndarray, stride: int) -> np.ndarray:
+    """For each run, the number of the first run, in raster order, of its
+    8-connected component."""
+    n, kind = starts.size, starts.dtype
+    # run j touches runs lo[j] .. lo[j] + above[j] - 1 on the row above
+    lo = np.searchsorted(ends, starts - stride).astype(kind)
+    above = np.searchsorted(starts, ends - stride, "right").astype(kind)
+    above -= lo
+    wide = above > 1
+    step = np.zeros(n, dtype=np.int8)
+    step[lo[wide]] = 1
+    step[lo[wide] + above[wide] - 1] -= 1
+    touch = above > 0
+    del above, wide
+    # run k opens a new group unless a span joins it to run k - 1
+    opens = np.empty(n, dtype=bool)
+    opens[:1] = True
+    np.equal(np.cumsum(step[:-1], dtype=np.int8), 0, out=opens[1:])
+    del step
+    group = np.cumsum(opens, dtype=kind)
+    group -= 1
+    a, b = group[touch], group[lo[touch]]
+    del lo, touch
+    # runs of one group next to each other give the same edge
+    fresh = np.empty(a.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(a[1:], a[:-1], out=fresh[1:])
+    fresh[1:] |= b[1:] != b[:-1]
+    a, b = a[fresh], b[fresh]
+    del fresh
+    # hook roots a onto smaller roots b, point every group at its root, repeat
+    root = np.arange(group[-1] + 1 if n else 0, dtype=kind)
+    while a.size:
+        np.minimum.at(root, a, b)
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+        a, b = root[a], root[b]
+        live = a != b
+        a, b = a[live], b[live]
+        del live
+        top = np.maximum(a, b)
+        np.minimum(a, b, out=b)
+        a = top
+    return np.flatnonzero(opens).astype(kind)[root][group]
+
+
+def run_pixels(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices start, start + 1, ..., start + length - 1 of every run,
+    run after run."""
+    offsets = np.cumsum(lengths, dtype=lengths.dtype) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()), dtype=starts.dtype)

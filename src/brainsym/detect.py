@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .edges import EIGHT_CONNECTED, EdgeMap, canny
+from ._runs import label_runs, mask_runs, run_pixels
+from .edges import EdgeMap, canny
 from .errors import BrainsymError, ParameterError, PipelineError
 from .imaging import (
     GrayImage,
@@ -159,6 +159,28 @@ def asymmetry_map(edges: EdgeMap, axis: SymmetryAxis, tol: int) -> np.ndarray:
     return unmatched
 
 
+def _spread(a: np.ndarray, radius: int, op) -> np.ndarray:
+    """op over the (2 radius + 1)^2 window centred on every entry of a 2-D
+    array, with False read beyond its edges.
+
+    Each axis takes passes whose windows grow geometrically: windows of
+    half-width k joined with the ones j <= 2 k + 1 entries to either side
+    have half-width k + j, so a radius takes O(log radius) passes.
+    """
+    for axis in (0, 1):
+        k = 0
+        while k < radius:
+            j = min(2 * k + 1, radius - k)
+            before = (slice(None),) * axis + (slice(None, -j),)
+            after = (slice(None),) * axis + (slice(j, None),)
+            b = a.copy()
+            op(b[after], a[before], out=b[after])
+            op(b[before], a[after], out=b[before])
+            a = b
+            k += j
+    return a
+
+
 def close_mask(mask: np.ndarray, radius: int) -> np.ndarray:
     """Morphological closing of a bool mask with a (2 radius + 1)^2 square
     element, as on an unbounded plane, so border blobs close as they
@@ -169,12 +191,14 @@ def close_mask(mask: np.ndarray, radius: int) -> np.ndarray:
     outside the box lies on the far edge of some square that misses the
     box, so it is never closed; a pixel inside reads the dilation within
     the box +- radius, which is the padded frame, and the mask is empty
-    outside the box. ndimage.grey_closing with a plain size runs the
-    dilation and erosion as separable running max/min filters (van Herk
-    1992; Gil & Werman 1993), O(1) per pixel whatever the radius, with
-    False outside the frame. The radius is clamped to max(height,
-    width): the closing of a mask that fits in the raster no longer
-    changes beyond that, and the clamp bounds the padded frame.
+    outside the box. The dilation is an OR and the erosion an AND over
+    every window, by _spread. The False it reads beyond the frame is
+    exact for the dilation: while a window's half-width k is below the
+    radius, a window centred beyond the frame covers only padding. The
+    erosion's windows around box pixels never leave the frame. The
+    radius is clamped to max(height, width): the closing of a mask that
+    fits in the raster no longer changes beyond that, and the clamp
+    bounds the padded frame.
     """
     if radius < 0:
         raise ParameterError(f"radius must be >= 0, got {radius}")
@@ -185,7 +209,7 @@ def close_mask(mask: np.ndarray, radius: int) -> np.ndarray:
         return closed
     y0, y1, x0, x1 = box
     work = np.pad(mask[y0:y1, x0:x1], radius, mode="constant", constant_values=False)
-    work = ndimage.grey_closing(work, size=2 * radius + 1, mode="constant")
+    work = _spread(_spread(work, radius, np.logical_or), radius, np.logical_and)
     closed[y0:y1, x0:x1] = work[radius:radius + y1 - y0, radius:radius + x1 - x0]
     return closed
 
@@ -194,10 +218,10 @@ def connected_components(mask: np.ndarray, min_area: int) -> list[Region]:
     """8-connected foreground components with area >= min_area.
 
     Sorted by area descending, ties by (ymin, xmin). Only the mask's
-    bounding box is labeled; a crop keeps raster-scan order, so labels
-    come out in the same order as on the whole raster. value_indices
-    gives the labels in ascending order, each one's pixels in raster
-    order.
+    bounding box is labeled, from its row runs (see _runs); a crop keeps
+    raster-scan order, so the components come in the order of their
+    first pixels, as on the whole raster, and each one's pixels are
+    listed in raster order.
     """
     if min_area < 1:
         raise ParameterError(f"min_area must be >= 1, got {min_area}")
@@ -206,20 +230,30 @@ def connected_components(mask: np.ndarray, min_area: int) -> list[Region]:
     if box is None:
         return []
     y0, y1, x0, x1 = box
-    crop = m[y0:y1, x0:x1]
-    labels, _ = ndimage.label(crop, structure=EIGHT_CONNECTED)
+    stride = x1 - x0 + 1
+    starts, ends = mask_runs(m[y0:y1, x0:x1])
+    first = label_runs(starts, ends, stride)
+    lengths = ends - starts
+    area = np.bincount(first, weights=lengths)      # by first run, 0 for other runs
+    kept = area >= min_area
+    # a stable sort on the first run groups each component's runs, in raster order
+    runs = np.flatnonzero(kept[first])
+    runs = runs[np.argsort(first[runs], kind="stable")]
+    ys, xs = np.divmod(run_pixels(starts[runs], lengths[runs]).astype(np.intp), stride)
+    ys += y0
+    xs += x0
+    # split after each kept component; the last piece is empty
+    bounds = np.cumsum(area[kept]).astype(np.intp)
     regions = []
-    for ys, xs in ndimage.value_indices(labels, ignore_value=0).values():
-        if ys.size >= min_area:
-            ry, rx = ys + y0, xs + x0
-            regions.append(
-                Region(
-                    pixels=frozenset(zip(rx.tolist(), ry.tolist())),
-                    area_px=int(ys.size),
-                    bbox=(int(rx.min()), int(ry.min()), int(rx.max()), int(ry.max())),
-                    centroid=(float(rx.mean()), float(ry.mean())),
-                )
+    for ry, rx in zip(np.split(ys, bounds)[:-1], np.split(xs, bounds)[:-1]):
+        regions.append(
+            Region(
+                pixels=frozenset(zip(rx.tolist(), ry.tolist())),
+                area_px=int(ry.size),
+                bbox=(int(rx.min()), int(ry.min()), int(rx.max()), int(ry.max())),
+                centroid=(float(rx.mean()), float(ry.mean())),
             )
+        )
     regions.sort(key=lambda r: (-r.area_px, r.bbox[1], r.bbox[0]))
     return regions
 

@@ -9,14 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
+from ._runs import index_runs, label_runs
 from .errors import ParameterError
 from .imaging import GrayImage, _block_rows, _smooth_blocks
 
 OPERATORS = ("sobel", "prewitt", "roberts")
-
-EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,12 +211,15 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
 
     Thresholds are fractions of the per-image maximum gradient magnitude,
     ordered 0 < low_frac < high_frac < 1. Hysteresis keeps strong pixels
-    plus weak pixels 8-connected to a strong one.
+    plus weak pixels 8-connected to a strong one. It labels the row runs
+    of the weak pixels' sorted flat indices (see _runs), and keeps the
+    runs whose component holds a strong pixel, so its arrays follow the
+    weak pixels and their runs, with no label raster.
 
     The output is that of smooth_raster, gradient_raster, nonmax_suppress
     and the two thresholds on the full frame, but no full-frame float
     raster comes before the NMS: the full-frame arrays are the NMS
-    candidate raster, the edge mask and the hysteresis labels. The
+    candidate raster and the edge mask. The
     smoothing, the Sobel sums and s = gx*gx + gy*gy run together in
     smooth_raster's row blocks, into block-sized buffers, each block
     smoothed with one reflected row above and below, as the same
@@ -302,14 +303,13 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
     padded = np.zeros((h + 2) * (w + 2))
     padded[centre] = m
     kept = _suppress(centre, m, bins, w + 2, padded, np.zeros(padded.size, dtype=bool))
-    weak, strong = idx[kept], idx[kept & (m >= high_frac * max_mag)]
+    weak, strong = idx[kept], (m >= high_frac * max_mag)[kept]
+    starts, ends, run = index_runs(weak, (h, w))
+    first = label_runs(starts, ends, w + 1)[run]
+    keep = np.zeros(starts.size, dtype=bool)
+    keep[first[strong]] = True
     mask = np.zeros(h * w, dtype=bool)
-    mask[weak] = True
-    labels, count = ndimage.label(mask.reshape(h, w), structure=EIGHT_CONNECTED)
-    labels = labels.ravel()
-    keep = np.zeros(count + 1, dtype=bool)
-    keep[labels[strong]] = True
-    mask[weak] = keep[labels[weak]]
+    mask[weak[keep[first]]] = True
     return EdgeMap(mask.reshape(h, w))
 
 

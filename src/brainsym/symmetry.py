@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy import ndimage
 
-from .edges import EIGHT_CONNECTED
+from ._runs import label_runs, mask_runs, run_pixels
 from .errors import GeometryError, ParameterError, SingularSystemError
 from .imaging import _BLOCK_ROWS, GrayImage, round_half_away
 
@@ -36,6 +35,10 @@ def brain_mask(img: GrayImage) -> np.ndarray:
 
     The threshold t maximizes the between-class variance of the split
     {v < t} / {v >= t} over the 256-bin histogram; ties pick the smallest t.
+    The blobs are labeled from the thresholded mask's row runs (see
+    _runs); of equal-size largest blobs the one whose first pixel comes
+    first in raster order is kept. The other blobs' runs are cleared from
+    the mask, so the work follows the run count and the cleared pixels.
     """
     pixels = img.pixels
     # bincount copies its input to intp, so it counts one block of rows at a time
@@ -59,12 +62,18 @@ def brain_mask(img: GrayImage) -> np.ndarray:
         raise GeometryError("no foreground separable")
     threshold = 1 + int(np.argmax(between))
     mask = pixels >= threshold
-    labels, count = ndimage.label(mask, structure=EIGHT_CONNECTED)
-    if count == 1:  # the only label is 1, so labels == 1 is the mask itself
-        return mask
-    sizes = np.bincount(labels.ravel(), minlength=count + 1)
-    sizes[0] = 0
-    return labels == int(np.argmax(sizes))
+    width = mask.shape[1]
+    starts, ends = mask_runs(mask)
+    first = label_runs(starts, ends, width + 1)
+    lengths = ends - starts
+    # argmax takes the first of equal sizes, the blob whose first run comes first
+    largest = np.argmax(np.bincount(first, weights=lengths))
+    drop = first != largest
+    # a run's flat index in the raster is its frame index less its row
+    starts, lengths = starts[drop], lengths[drop]
+    starts -= starts // (width + 1)
+    mask.ravel()[run_pixels(starts, lengths)] = False
+    return mask
 
 
 def row_midpoints(
@@ -181,12 +190,17 @@ def fit_axis_lsm(samples: np.ndarray, degree: int) -> SymmetryAxis:
     ts = (ys - center) / spread
     # a line is the parabola with a2 = 0
     a0, a1, a2 = (*solve_cramer(*_normal_equations(ts, xs, degree)), 0.0)[:3]
-    raw = (
-        a0 - a1 * center / spread + a2 * center * center / (spread * spread),
-        a1 / spread - 2.0 * a2 * center / (spread * spread),
-        a2 / (spread * spread),
-    )
-    return SymmetryAxis(degree, tuple(float(c) for c in raw[:degree + 1]))
+    # a spread whose square is subnormal can overflow the expansion
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = (
+            a0 - a1 * center / spread + a2 * center * center / (spread * spread),
+            a1 / spread - 2.0 * a2 * center / (spread * spread),
+            a2 / (spread * spread),
+        )
+    coeffs = tuple(float(c) for c in raw[:degree + 1])
+    if not all(map(math.isfinite, coeffs)):
+        raise GeometryError(f"axis coefficients are not finite for sample rows spanning {spread:g}")
+    return SymmetryAxis(degree, coeffs)
 
 
 def residual_rms(axis: SymmetryAxis, samples: np.ndarray) -> float:

@@ -343,6 +343,43 @@ def test_report_flat_all_zero(phantom_paths):
 
 
 # ---------------------------------------------------------------------------
+# runtime without scipy
+
+# Any `import scipy` (or of a submodule) raises ImportError once
+# sys.modules["scipy"] is None, so these runs fail if the program uses it.
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from brainsym.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code:
+        sys.exit(f"{argv}: exit {code}")
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    pgm = tmp_path / "lesioned.pgm"
+    runs = [
+        ["phantom", "-o", pgm, "--lesion"],
+        ["edges", pgm, "-o", tmp_path / "e.pgm"],
+        ["axis", pgm, "-o", tmp_path / "a.ppm"],
+        ["detect", pgm, "-d", tmp_path / "blocked"],
+        ["report", pgm, "-o", tmp_path / "r.csv"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps([list(map(str, argv)) for argv in runs])],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert load_netpbm(pgm).pixels.shape == (257, 257)
+    assert cli.main(["detect", str(pgm), "-d", str(tmp_path / "here")]) == 0
+    for name in ("lesioned.report.json", "lesioned.overlay.ppm"):
+        assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+    assert read_report(tmp_path / "here" / "lesioned.report.json")["verdict"] == "found"
+
+
+# ---------------------------------------------------------------------------
 # phantom
 
 def test_phantom_cli_deterministic(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from brainsym import (
     EdgeMap,
@@ -26,6 +27,7 @@ from brainsym import (
     preprocess,
     render_overlay,
 )
+from brainsym._runs import index_runs, label_runs, mask_runs, run_pixels
 
 from oracles import (
     brute_asymmetry,
@@ -229,6 +231,89 @@ def test_components_min_area_validation():
 
 
 # ---------------------------------------------------------------------------
+# run labeling, shared by brain_mask, canny's hysteresis and
+# connected_components
+
+def _run_label_raster(mask):
+    """The labeler's components numbered 1, 2, ... in the order of their
+    first runs, 0 off the mask: ndimage.label's numbering, if it is right."""
+    h, w = mask.shape
+    starts, ends = mask_runs(mask)
+    first = label_runs(starts, ends, w + 1)
+    number = np.cumsum(first == np.arange(first.size))[first]
+    frame = np.zeros(h * (w + 1), dtype=np.int64)
+    frame[run_pixels(starts, ends - starts)] = np.repeat(number, ends - starts)
+    return frame.reshape(h, w + 1)[:, :w]
+
+
+def _check_run_labels(mask):
+    labels = _run_label_raster(mask)
+    assert np.array_equal(labels, ndimage.label(mask, structure=np.ones((3, 3)))[0])
+    ys, xs = np.nonzero(labels)
+    found = {}
+    for y, x, k in zip(ys.tolist(), xs.tolist(), labels[ys, xs].tolist()):
+        found.setdefault(k, set()).add((x, y))
+    assert {frozenset(c) for c in found.values()} == {frozenset(c) for c in flood_fill_components(mask)}
+    # the runs of the set pixels' sorted flat indices are the mask's runs
+    flat = np.flatnonzero(mask)
+    starts, ends, run = index_runs(flat, mask.shape)
+    assert all(np.array_equal(a, b) for a, b in zip((starts, ends), mask_runs(mask)))
+    assert np.array_equal(run, np.repeat(np.arange(starts.size), ends - starts))
+
+
+def test_run_labels_match_ndimage_and_flood_fill():
+    # 3,000 seeded masks, sides 1-40, densities 0.05-0.9
+    rng = np.random.default_rng(97)
+    for _ in range(3000):
+        height, width = (int(v) for v in rng.integers(1, 41, size=2))
+        _check_run_labels(rng.random((height, width)) < rng.uniform(0.05, 0.9))
+
+
+def _structured_masks(sizes):
+    """Masks of one-pixel runs or of long chains of runs, the labeler's
+    hardest shapes, each in four orientations."""
+    cases = []
+    for h, w in sizes:
+        y, x = np.indices((h, w))
+        comb = x % 2 == 0                 # one-pixel teeth joined by the bottom row
+        comb[-1] = True
+        serpentine = y % 2 == 0           # rows joined at alternate ends
+        serpentine[1::4, -1] = True
+        serpentine[3::4, 0] = True
+        for name, m in (("checkerboard", (y + x) % 2 == 0), ("comb", comb),
+                        ("serpentine", serpentine), ("diagonal-stripes", (y + x) % 3 == 0),
+                        ("anti-diagonal-stripes", (y - x) % 4 == 0)):
+            for turn, view in (("", m), ("-flipped", m[::-1]), ("-mirrored", m[:, ::-1]),
+                               ("-transposed", m.T)):
+                cases.append((f"{name}{turn}-{h}x{w}", np.ascontiguousarray(view)))
+    return cases
+
+
+SMALL_SIZES = [(1, 1), (1, 9), (9, 1), (2, 2), (7, 12), (23, 17)]
+STRUCTURED_MASKS = _structured_masks(SMALL_SIZES)
+STRUCTURED_IDS = [name for name, _ in STRUCTURED_MASKS]
+
+
+def test_run_labels_on_structured_masks():
+    for _, mask in _structured_masks(SMALL_SIZES + [(40, 40), (41, 64)]):
+        _check_run_labels(mask)
+
+
+@pytest.mark.parametrize("name,mask", STRUCTURED_MASKS, ids=STRUCTURED_IDS)
+def test_structured_close_matches_brute_force(name, mask):
+    for radius in RADII:
+        # beyond max(height, width) the closing no longer changes
+        expected = brute_close(mask, min(radius, max(mask.shape) + 1))
+        assert np.array_equal(close_mask(mask, radius), expected), radius
+
+
+@pytest.mark.parametrize("name,mask", STRUCTURED_MASKS, ids=STRUCTURED_IDS)
+def test_structured_components_match_flood_fill(name, mask):
+    for radius in (0, 1):
+        _check_components(close_mask(mask, radius))
+
+
+# ---------------------------------------------------------------------------
 # sparse masks: asymmetry, closing and components work on the set pixels'
 # bounding box, so these cases put a few pixels on the borders and corners
 # and far from the origin, where a crop off by one would show
@@ -309,22 +394,25 @@ def test_sparse_asymmetry_matches_brute_force(name, mask):
                 assert np.array_equal(got, brute_asymmetry(m, axis, tol)), (axis, tol)
 
 
+def _check_components(closed):
+    for min_area in (1, 2, 9):
+        regions = connected_components(closed, min_area)
+        expected = [c for c in flood_fill_components(closed) if len(c) >= min_area]
+        assert {r.pixels for r in regions} == {frozenset(c) for c in expected}
+        keys = [(-r.area_px, r.bbox[1], r.bbox[0]) for r in regions]
+        assert keys == sorted(keys)
+        for region in regions:
+            xs = [p[0] for p in region.pixels]
+            ys = [p[1] for p in region.pixels]
+            assert region.area_px == len(region.pixels)
+            assert region.bbox == (min(xs), min(ys), max(xs), max(ys))
+            assert region.centroid == pytest.approx((np.mean(xs), np.mean(ys)))
+
+
 @pytest.mark.parametrize("name,mask", SPARSE_MASKS, ids=SPARSE_IDS)
 def test_sparse_components_match_flood_fill(name, mask):
     for radius in (0, 1, 3, 8):
-        closed = close_mask(mask, radius)
-        for min_area in (1, 2, 9):
-            regions = connected_components(closed, min_area)
-            expected = [c for c in flood_fill_components(closed) if len(c) >= min_area]
-            assert {r.pixels for r in regions} == {frozenset(c) for c in expected}
-            keys = [(-r.area_px, r.bbox[1], r.bbox[0]) for r in regions]
-            assert keys == sorted(keys)
-            for region in regions:
-                xs = [p[0] for p in region.pixels]
-                ys = [p[1] for p in region.pixels]
-                assert region.area_px == len(region.pixels)
-                assert region.bbox == (min(xs), min(ys), max(xs), max(ys))
-                assert region.centroid == pytest.approx((np.mean(xs), np.mean(ys)))
+        _check_components(close_mask(mask, radius))
 
 
 @st.composite

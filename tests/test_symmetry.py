@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from brainsym import (
     GeometryError,
@@ -58,6 +59,28 @@ def test_brain_mask_keeps_largest_component():
     assert len(flood_fill_components(mask)) == 1
 
 
+@pytest.mark.parametrize("blobs, kept", [
+    ([(2, 30, 3, 4), (3, 1, 4, 3)], 0),                   # an earlier row wins
+    ([(4, 20, 3, 4), (4, 2, 4, 3)], 1),                   # same row: the smaller column
+    ([(6, 2, 2, 6), (1, 25, 6, 2), (10, 10, 1, 3)], 1),   # plus a smaller third blob
+])
+def test_brain_mask_keeps_raster_first_of_equal_largest_blobs(blobs, kept):
+    # 12 px rectangles (y0, x0, h, w): of equal largest blobs the one whose
+    # first pixel comes first in raster order is kept, as np.argmax over the
+    # sizes of ndimage.label's labels did
+    img = np.full((16, 40), 20, dtype=np.uint8)
+    for y0, x0, h, w in blobs:
+        img[y0:y0 + h, x0:x0 + w] = 200
+    y0, x0, h, w = blobs[kept]
+    want = np.zeros(img.shape, dtype=bool)
+    want[y0:y0 + h, x0:x0 + w] = True
+    assert np.array_equal(brain_mask(GrayImage(img)), want)
+    labels, _ = ndimage.label(img == 200, structure=np.ones((3, 3)))
+    sizes = np.bincount(labels.ravel())
+    sizes[0] = 0
+    assert np.array_equal(labels == np.argmax(sizes), want)
+
+
 def _otsu_one_call(pixels):
     """brain_mask's Otsu threshold, from one np.bincount over the raster."""
     hist = np.bincount(pixels.ravel(), minlength=256).astype(np.float64)
@@ -82,20 +105,33 @@ def test_brain_mask_matches_one_histogram_across_row_blocks(h):
         assert np.array_equal(brain_mask(GrayImage(px)), want)
 
 
-def test_brain_mask_memory_at_513():
-    # 2,107,688 bytes was the peak with one np.bincount over the raster,
-    # which copies it to intp; the cap allows 3% over the 1,358,902 of the
-    # 128-row blocks
-    img, _ = generate(PhantomSpec(width=513, height=513, seed=7, semi_axis_x=200,
-                                  semi_axis_y=240, lesion=LesionSpec(80, 256, 20, 60)))
+def _brain_mask_peak(img):
+    """tracemalloc peak of a brain_mask call, once warm."""
     brain_mask(img)
     tracemalloc.start()
     try:
         brain_mask(img)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1_399_670
+
+
+def test_brain_mask_memory_at_513():
+    # 2,107,688 bytes was the peak with one np.bincount over the raster,
+    # which copies it to intp, 1,358,902 that of the 128-row blocks with an
+    # ndimage.label raster, and 571,145 that of the run labeling; the cap
+    # allows 3% over the last
+    img, _ = generate(PhantomSpec(width=513, height=513, seed=7, semi_axis_x=200,
+                                  semi_axis_y=240, lesion=LesionSpec(80, 256, 20, 60)))
+    assert _brain_mask_peak(img) <= 588_279
+
+
+def test_brain_mask_memory_on_a_checkerboard_at_513():
+    # one-pixel runs, the run labeling's worst case: 4,492,722 bytes, where
+    # the ndimage.label raster peaked at 1,359,142; the cap allows 3% over
+    y, x = np.indices((513, 513))
+    img = GrayImage(((y + x) % 2 * 255).astype(np.uint8))
+    assert _brain_mask_peak(img) <= 4_627_504
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +335,16 @@ def test_fit_rows_too_close_to_square_are_singular(degree):
     samples = np.array([[0.0, 3.0], [1e-200, 4.0], [5e-201, 2.0]])
     with pytest.raises(SingularSystemError):
         fit_axis_lsm(samples, degree)
+
+
+def test_fit_with_non_finite_coefficients_is_a_geometry_error():
+    # rows 1e-160 apart: the squared spread is subnormal, so the degree-2
+    # expansion overflows; it raises, with no numpy warning, and degree 1
+    # still gives a finite axis
+    samples = np.array([[0.0, 3.0], [1e-160, 4.0], [5e-161, 2.0]])
+    with pytest.raises(GeometryError, match="not finite"):
+        fit_axis_lsm(samples, 2)
+    assert np.isfinite(fit_axis_lsm(samples, 1).coeffs).all()
 
 
 def test_fit_is_least_squares_optimal():
