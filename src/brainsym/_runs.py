@@ -1,5 +1,9 @@
 """8-connected components of bool rasters, labeled from their row runs.
 
+Callers use label_mask (a bool raster), label_indices (the sorted flat
+indices of a raster's set pixels) and run_pixels; the frame below is
+private to this module, and callers pass only the raster's width.
+
 A run is a maximal stretch of set pixels in one row. Runs are held as
 flat [start, end) indices in a frame one column wider than the raster
 (stride w + 1) whose extra column is never set, so no run crosses a row
@@ -11,7 +15,7 @@ runs that run j touches on the row above are one span lo[j] .. lo[j] +
 above[j] - 1 of the run numbers, found by two binary searches
 (run-based labeling, as in He, Chao and Suzuki 2008).
 
-label_runs first joins the runs of each span into one group, by a
+_label_runs first joins the runs of each span into one group, by a
 difference array: the marks lo[j] .. lo[j] + above[j] - 2 of different
 spans are disjoint (two runs of a row share at most one run above them),
 so no two marks collide and one int8 cumsum finds every join. Each run
@@ -26,7 +30,9 @@ its first run in raster order. That run numbers the component, so
 numbering the components in the order of their first runs gives
 ndimage.label's numbering.
 
-Cost, for R runs and G <= R groups: O(R log R) for the binary searches,
+Cost, for R runs and G <= R groups: O(h w) for one np.flatnonzero over
+a mask's row changes (two intp indices per run, until they are cast),
+O(R log R) for the binary searches,
 O(R) for the joins and edges, O(E) per hooking round for the E <= R
 edges left, and O(G) per jump. The rounds and jumps depend on the shape:
 one to three rounds on random masks, checkerboards, combs, serpentines
@@ -44,40 +50,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .imaging import _BLOCK_ROWS
-
 
 def _index_type(size: int):
     return np.int32 if size < 2**31 else np.intp
 
 
-def mask_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The runs of a 2-D bool mask, as (starts, ends) in the frame of
-    stride w + 1."""
+def _mask_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of a 2-D bool mask, as (starts, ends) in the frame."""
     h, w = mask.shape
-    stride = w + 1
-    change = np.empty((h, stride), dtype=bool)
+    change = np.empty((h, w + 1), dtype=bool)
     change[:, 0] = mask[:, 0]
     np.not_equal(mask[:, 1:], mask[:, :-1], out=change[:, 1:w])
     change[:, w] = mask[:, w - 1]
     kind = _index_type(change.size)
-    starts = np.empty(np.count_nonzero(change) // 2, dtype=kind)
-    ends = np.empty_like(starts)
-    # a row's changes alternate start, end, since its extra column is clear;
-    # taken a row block at a time, so the intp indices are one block's
-    done = 0
-    for y0 in range(0, h, _BLOCK_ROWS):
-        bounds = np.flatnonzero(change[y0:y0 + _BLOCK_ROWS]) + y0 * stride
-        count = bounds.size // 2
-        starts[done:done + count] = bounds[0::2]
-        ends[done:done + count] = bounds[1::2]
-        done += count
-    return starts, ends
+    # a row's changes alternate start, end, since its extra column is clear
+    bounds = np.flatnonzero(change)
+    return bounds[0::2].astype(kind), bounds[1::2].astype(kind)
 
 
-def index_runs(flat: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _index_runs(flat: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The runs of the pixels at sorted, distinct flat indices of a raster
-    of the given shape, as (starts, ends, the run of each index)."""
+    of the given shape, as (starts, ends, the run of each index) in the
+    frame."""
     h, w = shape
     kind = _index_type(h * (w + 1))
     pos = (flat + flat // w).astype(kind)
@@ -91,7 +85,7 @@ def index_runs(flat: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np
     return pos[first], pos[last] + 1, np.cumsum(new, dtype=kind) - 1
 
 
-def label_runs(starts: np.ndarray, ends: np.ndarray, stride: int) -> np.ndarray:
+def _label_runs(starts: np.ndarray, ends: np.ndarray, stride: int) -> np.ndarray:
     """For each run, the number of the first run, in raster order, of its
     8-connected component."""
     n, kind = starts.size, starts.dtype
@@ -140,8 +134,29 @@ def label_runs(starts: np.ndarray, ends: np.ndarray, stride: int) -> np.ndarray:
     return np.flatnonzero(opens).astype(kind)[root][group]
 
 
-def run_pixels(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The indices start, start + 1, ..., start + length - 1 of every run,
-    run after run."""
+def label_mask(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of a 2-D bool mask, in raster order, as (starts, lengths,
+    first): first holds, for each run, the number of the first run of its
+    8-connected component. The starts are only for run_pixels."""
+    starts, ends = _mask_runs(mask)
+    first = _label_runs(starts, ends, mask.shape[1] + 1)
+    # taken after the labeling, whose peak would otherwise hold them too
+    ends -= starts
+    return starts, ends, first
+
+
+def label_indices(flat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """For the set pixels at sorted, distinct flat indices of a raster of
+    the given shape, a label of each pixel's 8-connected component: equal
+    within a component, distinct between components, and below flat.size."""
+    starts, ends, run = _index_runs(flat, shape)
+    return _label_runs(starts, ends, shape[1] + 1)[run]
+
+
+def run_pixels(starts: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
+    """The flat raster indices of the pixels of runs that label_mask
+    returned for a raster of the given width, run after run."""
     offsets = np.cumsum(lengths, dtype=lengths.dtype) - lengths
+    # a run's raster index is its frame index less its row
+    offsets += starts // (width + 1)
     return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()), dtype=starts.dtype)

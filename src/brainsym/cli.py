@@ -38,10 +38,6 @@ EXIT_PIPELINE = 3
 EXIT_IO = 4
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
-
-
 def _json_number(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
@@ -94,23 +90,21 @@ def _compute_edges(pre: GrayImage, operator: str, config: PipelineConfig):
     return threshold_edges(gradient(pre, operator), config.canny_high)
 
 
-def cmd_edges(args: argparse.Namespace) -> int:
+def cmd_edges(args: argparse.Namespace) -> None:
     config = _config_from_args(args)
     img = _load_gray(args.input)
     pre = preprocess(img, config)
     edge_map = _compute_edges(pre, args.operator, config)
     save_netpbm(GrayImage(edge_map.mask.astype(np.uint8) * 255), args.output)
     print(f"edges={edge_map.count}")
-    return EXIT_OK
 
 
-def cmd_axis(args: argparse.Namespace) -> int:
+def cmd_axis(args: argparse.Namespace) -> None:
     config = _config_from_args(args)
     img = _load_gray(args.input)
     axis = fit_image_axis(preprocess(img, config), config)
-    print(" ".join(f"c{i}={_fmt(c)}" for i, c in enumerate(axis.coeffs)))
+    print(" ".join(f"c{i}={c:.6g}" for i, c in enumerate(axis.coeffs)))
     save_netpbm(_paint_overlay(img, axis, []), args.output)
-    return EXIT_OK
 
 
 def _result_document(result: DetectionResult, pixel_spacing: float) -> dict:
@@ -141,14 +135,15 @@ def _result_document(result: DetectionResult, pixel_spacing: float) -> dict:
     return doc
 
 
-def _write_atomic(path: Path, payload: bytes) -> None:
+def _write_json(path: Path, doc: dict) -> None:
+    """Write doc as indented JSON, through a temporary file renamed over path."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        fh.write(payload)
+        fh.write(json.dumps(doc, indent=2).encode() + b"\n")
     os.replace(tmp, path)
 
 
-def cmd_detect(args: argparse.Namespace) -> int:
+def cmd_detect(args: argparse.Namespace) -> None:
     config = _config_from_args(args)
     img = _load_gray(args.input)
     result = detect_pipeline(img, config)
@@ -156,17 +151,15 @@ def cmd_detect(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem
-    payload = json.dumps(_result_document(result, config.pixel_spacing), indent=2).encode() + b"\n"
-    _write_atomic(outdir / f"{stem}.report.json", payload)
+    _write_json(outdir / f"{stem}.report.json", _result_document(result, config.pixel_spacing))
     save_netpbm(overlay, outdir / f"{stem}.overlay.ppm")
     print(f"verdict={result.verdict} regions={len(result.regions)} "
           f"total_area_px={result.total_area_px} edge_count={result.edge_count}")
     if result.message is not None:
         print(result.message)
-    return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> None:
     config = _config_from_args(args)
     img = _load_gray(args.input)
     pre = preprocess(img, config)
@@ -179,7 +172,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
 
 
 def _phantom_spec_from_args(args: argparse.Namespace) -> PhantomSpec:
@@ -206,7 +198,7 @@ def _phantom_spec_from_args(args: argparse.Namespace) -> PhantomSpec:
     )
 
 
-def cmd_phantom(args: argparse.Namespace) -> int:
+def cmd_phantom(args: argparse.Namespace) -> None:
     spec = _phantom_spec_from_args(args)
     try:
         img, truth = generate(spec)
@@ -225,9 +217,7 @@ def cmd_phantom(args: argparse.Namespace) -> int:
             "radius": spec.lesion.radius,
         },
     }
-    payload = json.dumps(sidecar, indent=2).encode() + b"\n"
-    _write_atomic(Path(str(out) + ".json"), payload)
-    return EXIT_OK
+    _write_json(Path(str(out) + ".json"), sidecar)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -297,6 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_PIPELINE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._runs import label_runs, mask_runs, run_pixels
+from ._runs import label_mask, run_pixels
 from .edges import EdgeMap, canny
 from .errors import BrainsymError, ParameterError, PipelineError
 from .imaging import (
@@ -226,20 +226,20 @@ def connected_components(mask: np.ndarray, min_area: int) -> list[Region]:
     if min_area < 1:
         raise ParameterError(f"min_area must be >= 1, got {min_area}")
     m = np.asarray(mask, dtype=bool)
+    # no component outgrows the mask, so a larger floor keeps none either,
+    # and the float areas compare with no int beyond the float range
+    min_area = min(min_area, m.size + 1)
     box = _bbox(m)
     if box is None:
         return []
     y0, y1, x0, x1 = box
-    stride = x1 - x0 + 1
-    starts, ends = mask_runs(m[y0:y1, x0:x1])
-    first = label_runs(starts, ends, stride)
-    lengths = ends - starts
+    starts, lengths, first = label_mask(m[y0:y1, x0:x1])
     area = np.bincount(first, weights=lengths)      # by first run, 0 for other runs
     kept = area >= min_area
     # a stable sort on the first run groups each component's runs, in raster order
     runs = np.flatnonzero(kept[first])
     runs = runs[np.argsort(first[runs], kind="stable")]
-    ys, xs = np.divmod(run_pixels(starts[runs], lengths[runs]).astype(np.intp), stride)
+    ys, xs = np.divmod(run_pixels(starts[runs], lengths[runs], x1 - x0).astype(np.intp), x1 - x0)
     ys += y0
     xs += x0
     # split after each kept component; the last piece is empty
@@ -339,7 +339,7 @@ def render_overlay(img: GrayImage, result: DetectionResult) -> RgbImage:
 
 
 def _paint_overlay(img: GrayImage, axis: SymmetryAxis, regions: list[Region]) -> RgbImage:
-    rgb = np.repeat(img.pixels[:, :, None], 3, axis=2)
+    rgb = np.stack((img.pixels,) * 3, axis=2)
     height, width = img.pixels.shape
     rows = np.arange(height)
     cols = round_half_away(axis.at(rows)).astype(np.int64)

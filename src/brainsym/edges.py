@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._runs import index_runs, label_runs
+from ._runs import label_indices
 from .errors import ParameterError
 from .imaging import GrayImage, _block_rows, _smooth_blocks
 
@@ -41,7 +41,7 @@ class EdgeMap:
 
     @property
     def count(self) -> int:
-        return int(self.mask.sum())
+        return int(np.count_nonzero(self.mask))
 
 
 def _sobel(p: np.ndarray, side: float, gx: np.ndarray, gy: np.ndarray) -> None:
@@ -304,9 +304,8 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
     padded[centre] = m
     kept = _suppress(centre, m, bins, w + 2, padded, np.zeros(padded.size, dtype=bool))
     weak, strong = idx[kept], (m >= high_frac * max_mag)[kept]
-    starts, ends, run = index_runs(weak, (h, w))
-    first = label_runs(starts, ends, w + 1)[run]
-    keep = np.zeros(starts.size, dtype=bool)
+    first = label_indices(weak, (h, w))
+    keep = np.zeros(weak.size, dtype=bool)
     keep[first[strong]] = True
     mask = np.zeros(h * w, dtype=bool)
     mask[weak[keep[first]]] = True

@@ -359,10 +359,14 @@ def median_filter(img: GrayImage, window: int) -> GrayImage:
     Window 3 takes a min/max sorting network (_median3, 18 uint8 passes
     over row blocks); windows of 5 and up take an MSB-first rank select
     on the 8-bit values (_median_rank_select, O(8 N window²) time). Both
-    return the exact median, so the path never changes the output.
+    return the exact median, so the path never changes the output. A
+    window that pads the raster past any array size is a ParameterError.
     """
     if window < 3 or window % 2 == 0:
         raise ParameterError(f"median window must be odd and >= 3, got {window}")
+    h, w = img.pixels.shape
+    if (h + window - 1) * (w + window - 1) > np.iinfo(np.intp).max:
+        raise ParameterError(f"median window {window} pads the raster past any array size")
     padded = np.pad(img.pixels, window // 2, mode="reflect")
     if window == 3:
         return GrayImage(_median3(padded))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from ._runs import label_runs, mask_runs, run_pixels
+from ._runs import label_mask, run_pixels
 from .errors import GeometryError, ParameterError, SingularSystemError
 from .imaging import _BLOCK_ROWS, GrayImage, round_half_away
 
@@ -62,17 +62,11 @@ def brain_mask(img: GrayImage) -> np.ndarray:
         raise GeometryError("no foreground separable")
     threshold = 1 + int(np.argmax(between))
     mask = pixels >= threshold
-    width = mask.shape[1]
-    starts, ends = mask_runs(mask)
-    first = label_runs(starts, ends, width + 1)
-    lengths = ends - starts
+    starts, lengths, first = label_mask(mask)
     # argmax takes the first of equal sizes, the blob whose first run comes first
     largest = np.argmax(np.bincount(first, weights=lengths))
     drop = first != largest
-    # a run's flat index in the raster is its frame index less its row
-    starts, lengths = starts[drop], lengths[drop]
-    starts -= starts // (width + 1)
-    mask.ravel()[run_pixels(starts, lengths)] = False
+    mask.ravel()[run_pixels(starts[drop], lengths[drop], mask.shape[1])] = False
     return mask
 
 

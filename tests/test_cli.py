@@ -165,6 +165,35 @@ def test_detect_huge_radii_clamped_to_raster(phantom_paths, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_detect_min_area_past_float_range_is_clamped(phantom_paths, tmp_path, capsys):
+    # no component outgrows the 257^2 raster, so a floor past the float
+    # range keeps none, as the floor of its pixel count plus one does
+    outputs = []
+    for value in ("1" + "0" * 400, "66050"):
+        outdir = tmp_path / value[:8]
+        assert cli.main(["detect", str(phantom_paths["lesioned"]), "-d", str(outdir),
+                         "--min-area", value]) == 0
+        assert capsys.readouterr().out.startswith("verdict=not-found ")
+        outputs.append([(outdir / name).read_bytes()
+                        for name in ("lesioned.report.json", "lesioned.overlay.ppm")])
+    assert outputs[0] == outputs[1]
+
+
+IMAGE_COMMANDS = {"edges": "-o", "axis": "-o", "detect": "-d", "report": "-o"}
+
+
+# 2**40 + 1 pads past any array; the second is past 2**63 as well
+@pytest.mark.parametrize("window", ["1099511627777", "1" * 31])
+@pytest.mark.parametrize("command", IMAGE_COMMANDS)
+def test_median_window_past_any_array_exit_3(phantom_paths, tmp_path, capsys, command, window):
+    out = tmp_path / "out"
+    assert cli.main([command, str(phantom_paths["lesioned"]), IMAGE_COMMANDS[command], str(out),
+                     "--median-window", window]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'median': ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_detect_bare_flags_give_default_config():
     args = build_parser().parse_args(["detect", "in.pgm", "-d", "out"])
     assert _config_from_args(args) == PipelineConfig()

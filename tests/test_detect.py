@@ -27,7 +27,7 @@ from brainsym import (
     preprocess,
     render_overlay,
 )
-from brainsym._runs import index_runs, label_runs, mask_runs, run_pixels
+from brainsym._runs import label_indices, label_mask, run_pixels
 
 from oracles import (
     brute_asymmetry,
@@ -230,6 +230,13 @@ def test_components_min_area_validation():
         connected_components(np.zeros((3, 3), dtype=bool), 0)
 
 
+def test_components_min_area_past_float_range():
+    # the float areas cannot compare with 10**400; no component can reach it
+    mask = np.ones((3, 3), dtype=bool)
+    assert connected_components(mask, 10**400) == []
+    assert [r.area_px for r in connected_components(mask, 9)] == [9]
+
+
 # ---------------------------------------------------------------------------
 # run labeling, shared by brain_mask, canny's hysteresis and
 # connected_components
@@ -237,13 +244,11 @@ def test_components_min_area_validation():
 def _run_label_raster(mask):
     """The labeler's components numbered 1, 2, ... in the order of their
     first runs, 0 off the mask: ndimage.label's numbering, if it is right."""
-    h, w = mask.shape
-    starts, ends = mask_runs(mask)
-    first = label_runs(starts, ends, w + 1)
+    starts, lengths, first = label_mask(mask)
     number = np.cumsum(first == np.arange(first.size))[first]
-    frame = np.zeros(h * (w + 1), dtype=np.int64)
-    frame[run_pixels(starts, ends - starts)] = np.repeat(number, ends - starts)
-    return frame.reshape(h, w + 1)[:, :w]
+    labels = np.zeros(mask.size, dtype=np.int64)
+    labels[run_pixels(starts, lengths, mask.shape[1])] = np.repeat(number, lengths)
+    return labels.reshape(mask.shape)
 
 
 def _check_run_labels(mask):
@@ -254,11 +259,9 @@ def _check_run_labels(mask):
     for y, x, k in zip(ys.tolist(), xs.tolist(), labels[ys, xs].tolist()):
         found.setdefault(k, set()).add((x, y))
     assert {frozenset(c) for c in found.values()} == {frozenset(c) for c in flood_fill_components(mask)}
-    # the runs of the set pixels' sorted flat indices are the mask's runs
-    flat = np.flatnonzero(mask)
-    starts, ends, run = index_runs(flat, mask.shape)
-    assert all(np.array_equal(a, b) for a, b in zip((starts, ends), mask_runs(mask)))
-    assert np.array_equal(run, np.repeat(np.arange(starts.size), ends - starts))
+    # the set pixels' sorted flat indices get their runs' labels
+    _, lengths, first = label_mask(mask)
+    assert np.array_equal(label_indices(np.flatnonzero(mask), mask.shape), np.repeat(first, lengths))
 
 
 def test_run_labels_match_ndimage_and_flood_fill():

@@ -101,6 +101,8 @@ def test_gradient_validation():
         gradient(GrayImage([[1]]), "roberts")
     with pytest.raises(ParameterError):
         gradient(GrayImage(np.zeros((5, 5), dtype=np.uint8)), "laplace")
+    with pytest.raises(ParameterError, match="unknown operator"):
+        gradient_raster(np.zeros((5, 5)), "laplace")
 
 
 def _signed_raster(shape, seed, palette):

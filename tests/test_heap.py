@@ -3,7 +3,7 @@ import resource
 
 import pytest
 
-from brainsym import LesionSpec, PhantomSpec, detect_pipeline, generate, render_overlay
+from brainsym import LesionSpec, PhantomSpec, _heap, detect_pipeline, generate, render_overlay
 
 
 def glibc():
@@ -30,3 +30,17 @@ def test_repeated_images_reuse_freed_memory():
         render_overlay(img, detect_pipeline(img))
         faults.append(minor_faults() - before)
     assert max(faults) < 100, faults
+
+
+def _confstr_raises(name):
+    raise ValueError(f"unrecognized configuration name {name!r}")
+
+
+@pytest.mark.parametrize("confstr", [
+    _confstr_raises,
+    lambda name: None,
+    lambda name: "musl libc 1.2.4",
+], ids=["raises", "none", "musl"])
+def test_keep_freed_memory_leaves_other_c_libraries(monkeypatch, confstr):
+    monkeypatch.setattr(os, "confstr", confstr)
+    assert _heap.keep_freed_memory() is False

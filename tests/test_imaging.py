@@ -42,6 +42,23 @@ def test_round_half_away():
     assert np.array_equal(round_half_away([0.5, 1.5, -1.5]), [1, 2, -2])
 
 
+@pytest.mark.parametrize("pixels", [
+    np.zeros((2, 2, 1), dtype=np.uint8),          # not 2-D
+    np.zeros((2, 2)),                             # float values
+    np.array([[0, 256]]),                         # above 255
+    np.array([[-1, 0]]),                          # below 0
+    np.zeros((0, 3), dtype=np.uint8),             # no pixel
+], ids=["3-d", "float", "256", "-1", "empty"])
+def test_gray_image_validation(pixels):
+    with pytest.raises(ParameterError):
+        GrayImage(pixels)
+
+
+def test_rgb_image_needs_three_channels():
+    with pytest.raises(ParameterError, match="3 channels"):
+        RgbImage(np.zeros((2, 2, 4), dtype=np.uint8))
+
+
 # ---------------------------------------------------------------------------
 # netpbm
 
@@ -65,6 +82,12 @@ def test_save_deterministic(tmp_path):
     save_netpbm(img, tmp_path / "c1.pgm")
     save_netpbm(img, tmp_path / "c2.pgm")
     assert (tmp_path / "c1.pgm").read_bytes() == (tmp_path / "c2.pgm").read_bytes()
+
+
+def test_save_rejects_other_objects(tmp_path):
+    with pytest.raises(ParameterError, match="ndarray"):
+        save_netpbm(np.zeros((2, 2), dtype=np.uint8), tmp_path / "d.pgm")
+    assert not (tmp_path / "d.pgm").exists()
 
 
 def test_roundtrip_random_rasters(tmp_path):
@@ -369,7 +392,8 @@ def test_median_memory_is_linear_in_pixels():
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("window", [1, 2, 4, 0, -3])
+# the last two pad the raster past any array size, the last past 2**63 too
+@pytest.mark.parametrize("window", [1, 2, 4, 0, -3, 2**40 + 1, int("1" * 31)])
 def test_median_window_validation(window):
     with pytest.raises(ParameterError):
         median_filter(GrayImage([[1, 2], [3, 4]]), window)

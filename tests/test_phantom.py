@@ -103,6 +103,8 @@ def test_lesion_delta_clamped():
         PhantomSpec(width=int("9" * 400)),
         PhantomSpec(height=int("9" * 400)),
         PhantomSpec(width=2**32, height=2**32),                   # more pixels than intp indexes
+        PhantomSpec(width=0),
+        PhantomSpec(height=0),
         # even width: the disk's centre is a half-integer column and pixel
         # (x 8, y 10) of this disk lies outside the skull
         PhantomSpec(width=40, height=41, seed=1, semi_axis_x=15, semi_axis_y=15,

@@ -128,10 +128,11 @@ def test_brain_mask_memory_at_513():
 
 def test_brain_mask_memory_on_a_checkerboard_at_513():
     # one-pixel runs, the run labeling's worst case: 4,492,722 bytes, where
-    # the ndimage.label raster peaked at 1,359,142; the cap allows 3% over
+    # the ndimage.label raster peaked at 1,359,142, and 4,295,837 with the
+    # run lengths taken after the labeling; the cap allows 3% over the last
     y, x = np.indices((513, 513))
     img = GrayImage(((y + x) % 2 * 255).astype(np.uint8))
-    assert _brain_mask_peak(img) <= 4_627_504
+    assert _brain_mask_peak(img) <= 4_424_712
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +208,13 @@ def test_normal_equations_symmetric():
         assert np.array_equal(matrix, matrix.T)
 
 
+@pytest.mark.parametrize("degree", [0, 3])
+def test_fit_axis_degree_validation(degree):
+    samples = np.column_stack((np.arange(8.0), np.full(8, 20.0)))
+    with pytest.raises(ParameterError, match="degree must be 1 or 2"):
+        fit_axis_lsm(samples, degree)
+
+
 def test_normal_equations_too_few_samples():
     with pytest.raises(GeometryError):
         fit_axis_lsm(np.array([[0.0, 5.0]]), 1)
@@ -227,6 +235,10 @@ def test_normal_equations_too_few_samples():
 
 def test_cramer_identity():
     assert np.allclose(solve_cramer(np.eye(3), np.array([4.0, -2.0, 9.0])), [4.0, -2.0, 9.0])
+
+
+def test_cramer_one_by_one():
+    assert solve_cramer(np.array([[4.0]]), np.array([2.0])).tolist() == [0.5]
 
 
 def test_cramer_worked_example():
