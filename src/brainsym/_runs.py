@@ -1,8 +1,9 @@
 """8-connected components of bool rasters, labeled from their row runs.
 
-Callers use label_mask (a bool raster), label_indices (the sorted flat
-indices of a raster's set pixels) and run_pixels; the frame below is
-private to this module, and callers pass only the raster's width.
+brain_mask (the Otsu mask), canny (the weak pixels) and
+connected_components (the closed mask) call label_mask on a bool raster,
+and run_pixels where they need the pixels of some runs; the frame below
+is private to this module, and callers pass only the raster's width.
 
 A run is a maximal stretch of set pixels in one row. Runs are held as
 flat [start, end) indices in a frame one column wider than the raster
@@ -31,8 +32,10 @@ numbering the components in the order of their first runs gives
 ndimage.label's numbering.
 
 Cost, for R runs and G <= R groups: O(h w) for one np.flatnonzero over
-a mask's row changes (two intp indices per run, until they are cast),
-O(R log R) for the binary searches,
+a mask's row changes (a bool raster one column wider than the mask, and
+two intp indices per run until they are cast; canny calls this once its
+float rasters are freed, so its peak does not rise), O(R log R) for the
+binary searches,
 O(R) for the joins and edges, O(E) per hooking round for the E <= R
 edges left, and O(G) per jump. The rounds and jumps depend on the shape:
 one to three rounds on random masks, checkerboards, combs, serpentines
@@ -51,10 +54,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def _index_type(size: int):
-    return np.int32 if size < 2**31 else np.intp
-
-
 def _mask_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The runs of a 2-D bool mask, as (starts, ends) in the frame."""
     h, w = mask.shape
@@ -62,27 +61,10 @@ def _mask_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     change[:, 0] = mask[:, 0]
     np.not_equal(mask[:, 1:], mask[:, :-1], out=change[:, 1:w])
     change[:, w] = mask[:, w - 1]
-    kind = _index_type(change.size)
+    kind = np.int32 if change.size < 2**31 else np.intp
     # a row's changes alternate start, end, since its extra column is clear
     bounds = np.flatnonzero(change)
     return bounds[0::2].astype(kind), bounds[1::2].astype(kind)
-
-
-def _index_runs(flat: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The runs of the pixels at sorted, distinct flat indices of a raster
-    of the given shape, as (starts, ends, the run of each index) in the
-    frame."""
-    h, w = shape
-    kind = _index_type(h * (w + 1))
-    pos = (flat + flat // w).astype(kind)
-    new = np.empty(pos.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(pos[1:], pos[:-1] + 1, out=new[1:])
-    first = np.flatnonzero(new).astype(kind)
-    last = np.empty_like(first)
-    last[:-1] = first[1:] - 1
-    last[-1:] = pos.size - 1
-    return pos[first], pos[last] + 1, np.cumsum(new, dtype=kind) - 1
 
 
 def _label_runs(starts: np.ndarray, ends: np.ndarray, stride: int) -> np.ndarray:
@@ -143,14 +125,6 @@ def label_mask(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # taken after the labeling, whose peak would otherwise hold them too
     ends -= starts
     return starts, ends, first
-
-
-def label_indices(flat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """For the set pixels at sorted, distinct flat indices of a raster of
-    the given shape, a label of each pixel's 8-connected component: equal
-    within a component, distinct between components, and below flat.size."""
-    starts, ends, run = _index_runs(flat, shape)
-    return _label_runs(starts, ends, shape[1] + 1)[run]
 
 
 def run_pixels(starts: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:

@@ -334,7 +334,13 @@ def render_overlay(img: GrayImage, result: DetectionResult) -> RgbImage:
     """Color overlay: green axis, blue region bboxes, red region pixels.
 
     Drawn in that order, so region pixels paint over everything else.
+    img must have the result's height and width.
     """
+    if img.pixels.shape != (result.height, result.width):
+        raise ParameterError(
+            f"overlay image is {img.width}x{img.height}, "
+            f"the result is {result.width}x{result.height}"
+        )
     return _paint_overlay(img, result.axis, result.regions)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._runs import label_indices
+from ._runs import label_mask
 from .errors import ParameterError
 from .imaging import GrayImage, _block_rows, _smooth_blocks
 
@@ -211,10 +211,11 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
 
     Thresholds are fractions of the per-image maximum gradient magnitude,
     ordered 0 < low_frac < high_frac < 1. Hysteresis keeps strong pixels
-    plus weak pixels 8-connected to a strong one. It labels the row runs
-    of the weak pixels' sorted flat indices (see _runs), and keeps the
-    runs whose component holds a strong pixel, so its arrays follow the
-    weak pixels and their runs, with no label raster.
+    plus weak pixels 8-connected to a strong one. Once the NMS rasters
+    are freed, it sets the weak pixels in the edge mask, labels the
+    mask's row runs with label_mask (see _runs), as brain_mask labels
+    its Otsu mask, and clears the weak pixels whose component holds no
+    strong pixel, so it keeps no label raster.
 
     The output is that of smooth_raster, gradient_raster, nonmax_suppress
     and the two thresholds on the full frame, but no full-frame float
@@ -304,12 +305,17 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
     padded[centre] = m
     kept = _suppress(centre, m, bins, w + 2, padded, np.zeros(padded.size, dtype=bool))
     weak, strong = idx[kept], (m >= high_frac * max_mag)[kept]
-    first = label_indices(weak, (h, w))
-    keep = np.zeros(weak.size, dtype=bool)
+    # freed before the labeling, whose peak would otherwise hold them too
+    del padded, centre, bins
+    mask = np.zeros((h, w), dtype=bool)
+    mask.ravel()[weak] = True
+    _, lengths, first = label_mask(mask)
+    # the sorted weak indices are the runs' pixels, one run after another
+    first = np.repeat(first, lengths)
+    keep = np.zeros(lengths.size, dtype=bool)
     keep[first[strong]] = True
-    mask = np.zeros(h * w, dtype=bool)
-    mask[weak[keep[first]]] = True
-    return EdgeMap(mask.reshape(h, w))
+    mask.ravel()[weak[~keep[first]]] = False
+    return EdgeMap(mask)
 
 
 def threshold_edges(field: GradientField, frac: float) -> EdgeMap:

@@ -27,7 +27,7 @@ from brainsym import (
     preprocess,
     render_overlay,
 )
-from brainsym._runs import label_indices, label_mask, run_pixels
+from brainsym._runs import label_mask, run_pixels
 
 from oracles import (
     brute_asymmetry,
@@ -259,9 +259,10 @@ def _check_run_labels(mask):
     for y, x, k in zip(ys.tolist(), xs.tolist(), labels[ys, xs].tolist()):
         found.setdefault(k, set()).add((x, y))
     assert {frozenset(c) for c in found.values()} == {frozenset(c) for c in flood_fill_components(mask)}
-    # the set pixels' sorted flat indices get their runs' labels
-    _, lengths, first = label_mask(mask)
-    assert np.array_equal(label_indices(np.flatnonzero(mask), mask.shape), np.repeat(first, lengths))
+    # the runs' pixels, run after run, are the set pixels' sorted flat
+    # indices, which lets canny label its weak pixels by np.repeat
+    starts, lengths, _ = label_mask(mask)
+    assert np.array_equal(run_pixels(starts, lengths, mask.shape[1]), np.flatnonzero(mask))
 
 
 def test_run_labels_match_ndimage_and_flood_fill():
@@ -570,6 +571,18 @@ def test_render_overlay_palette():
     assert overlay.pixels[y, x].tolist() == [255, 0, 0]
 
 
+@pytest.mark.parametrize("height, width", [(100, 100), (249, 233), (257, 256), (256, 257)])
+def test_render_overlay_rejects_other_shapes(height, width):
+    # an image of another shape would raise IndexError from the region
+    # pixels, or be painted with another raster's regions
+    img, _ = generate(PhantomSpec(seed=5, lesion=LesionSpec(40, 128, 10, 60)))
+    result = detect_pipeline(img)
+    assert result.regions
+    other = GrayImage(np.zeros((height, width), dtype=np.uint8))
+    with pytest.raises(ParameterError, match="overlay image"):
+        render_overlay(other, result)
+
+
 # ---------------------------------------------------------------------------
 # flipping the input left-right mirrors the result: the Canny mask, the
 # region pixel sets (x -> w - 1 - x), their areas and the verdict; healthy
@@ -615,3 +628,36 @@ def test_flip_mirrors_edges_and_regions(config, noisy, seeds):
             assert mirrored == {r.pixels for r in b.regions}, case
             if not lesioned:
                 assert a.verdict == "not-found", case
+
+
+# ---------------------------------------------------------------------------
+# healthy phantoms that are not mirror-exact, stressed as the benchmark's
+# 1025^2 inputs are, must not give found
+
+def _stressed_healthy(index):
+    """A healthy 257 x 257 phantom drawn from default_rng([1901, index]),
+    rotated by up to 3 degrees about its centre, shifted half a pixel
+    sideways, times a 10% (peak to peak) linear bias field, plus +-8
+    integer noise, rounded and clipped to [0, 255]."""
+    rng = np.random.default_rng([1901, index])
+    img, _ = generate(PhantomSpec(seed=int(rng.integers(1, 2**31))))
+    h, w = img.pixels.shape
+    angle = np.radians(rng.uniform(-3.0, 3.0))
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    centre = np.array([(h - 1) / 2.0, (w - 1) / 2.0])
+    offset = centre - rot @ centre - np.array([0.0, rng.choice([-0.5, 0.5])])
+    moved = ndimage.affine_transform(img.pixels, rot, offset=offset, order=1,
+                                     mode="nearest", output=np.float64)
+    direction = rng.uniform(0.0, 2.0 * np.pi)
+    c, s = np.cos(direction), np.sin(direction)
+    # the ramp spans exactly [-0.5, 0.5] over the raster
+    ramp = (s * (np.arange(h)[:, None] / (h - 1) - 0.5) + c * (np.arange(w) / (w - 1) - 0.5))
+    moved *= 1.0 + 0.10 * ramp / (abs(c) + abs(s))
+    moved += rng.integers(-8, 9, size=(h, w))
+    return GrayImage(np.clip(np.floor(moved + 0.5), 0, 255).astype(np.uint8))
+
+
+@pytest.mark.parametrize("config", [PipelineConfig(), STRESS_CONFIG], ids=["default", "stress"])
+def test_stressed_healthy_phantoms_are_not_found(config):
+    found = [i for i in range(60) if detect_pipeline(_stressed_healthy(i), config).verdict != "not-found"]
+    assert found == []
