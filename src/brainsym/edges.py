@@ -44,40 +44,43 @@ class EdgeMap:
         return int(np.count_nonzero(self.mask))
 
 
-def _sobel(p: np.ndarray, side: float, gx: np.ndarray, gy: np.ndarray) -> None:
-    """gx and gy, into the given h x w arrays, of the raster that p
-    reflect-pads by 1: central differences of [1, side, 1] sums, each sum
-    taken as (p[-1] + side * p[0]) + p[+1], one sum at a time.
+def _sobel(f: np.ndarray, stride: int, side: float, gx: np.ndarray, gy: np.ndarray,
+           sums: np.ndarray) -> int:
+    """gx and gy of an h x w raster from p, the raster reflect-padded by
+    1: central differences of [1, side, 1] sums, each sum taken as (p[-1]
+    + side * p[0]) + p[+1], one sum at a time. Returns their length, h *
+    stride - 2.
 
-    p is C-contiguous with h + 2 rows and w + 2 or more columns; columns
-    past w + 1 are ignored. The sums run on p's flat buffer, so each is one
-    contiguous pass; a sum that reads across a row end is never used.
+    f holds p's h + 2 rows laid end to end, `stride` >= w + 2 values
+    each; columns past w + 1 are ignored. gx and gy come out in the same
+    flat layout, less the two padding rows: value y * stride + x is pixel
+    (y, x), and columns w .. stride - 1 are filler. gx, gy and sums
+    (scratch) hold f.size values or more. Every product, sum and
+    difference is one contiguous pass; side * f is taken once, into gy,
+    since the sums for gx and for gy read slices of the same products. A
+    value that reads across a row end only lands in a filler column.
     """
-    h, w = gx.shape
-    stride = p.shape[1]
-    f = p.ravel()
-    sums, prod = np.empty(f.size), np.empty(f.size)
-    size = h * stride
-    np.multiply(f[stride:stride + size], side, out=prod[:size])
-    np.add(f[:size], prod[:size], out=sums[:size])
+    size = f.size - 2 * stride
+    np.multiply(f, side, out=gy[:f.size])
+    np.add(f[:size], gy[stride:stride + size], out=sums[:size])
     sums[:size] += f[2 * stride:]
-    rows = sums[:size].reshape(h, stride)
-    np.subtract(rows[:, 2:w + 2], rows[:, :w], out=gx)
-    size = f.size - 2
-    np.multiply(f[1:-1], side, out=prod[:size])
-    np.add(f[:-2], prod[:size], out=sums[:size])
-    sums[:size] += f[2:]
-    rows = sums.reshape(h + 2, stride)
-    np.subtract(rows[2:, :w], rows[:-2, :w], out=gy)
+    np.subtract(sums[2:size], sums[:size - 2], out=gx[:size - 2])
+    full = f.size - 2
+    np.add(f[:-2], gy[1:full + 1], out=sums[:full])
+    sums[:full] += f[2:]
+    np.subtract(sums[2 * stride:full], sums[:size - 2], out=gy[:size - 2])
+    return size - 2
 
 
 def _components(values: np.ndarray, operator: str) -> tuple[np.ndarray, np.ndarray]:
     """The gx and gy rasters of gradient_raster, as C-contiguous float64."""
     a = np.asarray(values, dtype=np.float64)
     if operator in ("sobel", "prewitt"):
-        gx, gy = np.empty(a.shape), np.empty(a.shape)
-        _sobel(np.pad(a, 1, mode="reflect"), 2.0 if operator == "sobel" else 1.0, gx, gy)
-        return gx, gy
+        h, w = a.shape
+        f = np.pad(a, 1, mode="reflect").ravel()
+        gx, gy = np.empty(f.size), np.empty(f.size)
+        _sobel(f, w + 2, 2.0 if operator == "sobel" else 1.0, gx, gy, np.empty(f.size))
+        return tuple(g[:h * (w + 2)].reshape(h, w + 2)[:, :w].copy() for g in (gx, gy))
     if operator == "roberts":
         p = np.pad(a, ((0, 1), (0, 1)), mode="reflect")
         return p[:-1, :-1] - p[1:, 1:], p[:-1, 1:] - p[1:, :-1]
@@ -193,16 +196,16 @@ def nonmax_suppress(field: GradientField) -> np.ndarray:
     return out
 
 
-def _hypot_where(gx, gy, s, bound):
-    """Flat indices and magnitudes of the pixels with s >= bound * (1 - 1e-9),
-    or of every pixel when bound < 1e-300. With bound = low_frac**2 * max(s)
-    this keeps the pixel of largest magnitude and every pixel whose
-    magnitude reaches low_frac times that; see canny() for why."""
+def _candidates(s: np.ndarray, w: int, bound: float) -> np.ndarray:
+    """Flat indices into s, rows of the first w pixel columns and then 0
+    filler, of the pixels with s >= bound * (1 - 1e-9), or of every pixel
+    when bound < 1e-300. With bound = low_frac**2 * max(s) this keeps the
+    pixel of largest magnitude and every pixel whose magnitude reaches
+    low_frac times that; see canny() for why."""
     if bound >= 1e-300:
-        idx = np.flatnonzero(s >= bound * (1.0 - 1e-9))
-    else:
-        idx = np.arange(s.size)
-    return idx, np.hypot(gx.take(idx), gy.take(idx))
+        return np.flatnonzero(s >= bound * (1.0 - 1e-9))
+    rows, stride = s.shape
+    return (np.arange(rows)[:, None] * stride + np.arange(w)).ravel()
 
 
 def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> EdgeMap:
@@ -220,24 +223,32 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
     The output is that of smooth_raster, gradient_raster, nonmax_suppress
     and the two thresholds on the full frame, but no full-frame float
     raster comes before the NMS: the full-frame arrays are the NMS
-    candidate raster and the edge mask. The
-    smoothing, the Sobel sums and s = gx*gx + gy*gy run together in
-    smooth_raster's row blocks, into block-sized buffers, each block
-    smoothed with one reflected row above and below, as the same
-    elementwise operations in the same order, so every value is the
-    full-frame one; the smoothing sums its taps in kernel order and calls
-    no BLAS, so no value depends on the CPU's BLAS kernel.
+    candidate raster and the edge mask. The smoothing, the Sobel sums and
+    s = gx*gx + gy*gy run together in smooth_raster's row blocks, each
+    block smoothed with one reflected row above and below. _sobel writes
+    gx and gy in the block's own rows, laid end to end at its padded row
+    length, and s is taken in that layout too, every product, sum and
+    difference one contiguous pass into buffers allocated once per call.
+    They are the same elementwise operations in the same order as on the
+    full frame, so every value is the full-frame one; the smoothing sums
+    its taps in kernel order and calls no BLAS, so no value depends on the
+    CPU's BLAS kernel. The columns past w of a row are filler, where the
+    Sobel differences read across a row end, so they are set to 0 in s
+    before its maximum and the candidate test: s >= 0, so 0 never raises
+    the maximum, and 0 fails the test whenever B_k >= 1e-300 (below); the
+    branch that takes every pixel takes the w real columns of each row.
 
     Only pixels with magnitude >= low can be weak, so hypot, arctan2, the
     direction bins and the NMS run on candidates. Each block keeps, by
-    _hypot_where, the pixels with s >= B_k (1 - 1e-9), or every pixel
+    _candidates, the pixels with s >= B_k (1 - 1e-9), or every pixel
     while B_k < 1e-300, for B_k = low_frac**2 * M_k and M_k the largest s
-    of the blocks so far; for those it takes the flat index, hypot and
-    direction bin. The full-frame pass with the final bound B =
-    low_frac**2 * max(s) would keep the pixel of largest hypot, so max_mag
-    is its magnitude, and every pixel reaching low, which an exact re-check
-    keeps. The blocks keep all of those, and that re-check alone leaves
-    exactly them:
+    of the blocks so far; for those it keeps the raster index and the
+    gathered gx and gy. After the last block hypot runs once, on all of
+    them, and arctan2 and the direction bins once, on those reaching low.
+    The full-frame pass with the final bound B = low_frac**2 * max(s)
+    would keep the pixel of largest hypot, so max_mag is its magnitude,
+    and every pixel reaching low, which an exact re-check keeps. The
+    blocks keep all of those, and that re-check alone leaves exactly them:
     - M_k is at most the final maximum M, and rounded multiplication is
       monotone, so B_k (1 - 1e-9) <= B (1 - 1e-9), and every pixel the
       full-frame pass keeps is kept by its block.
@@ -249,10 +260,11 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
     - The largest of the blocks' maxima is max(s), with no rounding.
     hypot and arctan2 run on contiguous gathered copies, and an elementwise
     loop gives each element the same result wherever it sits, so every
-    value equals the full-frame one bit for bit. NMS reads neighbors from a
-    zero-padded raster of the kept magnitudes, built once the block buffers
-    are freed: any other pixel has hypot < low <= m, so like 0 it can
-    neither beat nor tie a candidate (if low is 0, no pixel is left out).
+    value equals the full-frame one bit for bit, in one call or per block.
+    NMS reads neighbors from a zero-padded raster of the kept magnitudes,
+    built once the block buffers are freed: any other pixel has hypot <
+    low <= m, so like 0 it can neither beat nor tie a candidate (if low is
+    0, no pixel is left out).
 
     Why the guard keeps every pixel that matters. Let u = 2**-53, r the
     exact sqrt(gx**2 + gy**2) and e <= 8u the relative error of hypot (4
@@ -278,27 +290,34 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
             f"thresholds must satisfy 0 < low < high < 1, got low={low_frac} high={high_frac}"
         )
     h, w = img.pixels.shape
-    step = min(_block_rows(w), h)
-    gx_buf, gy_buf, s_buf = np.empty((step, w)), np.empty((step, w)), np.empty((step, w))
     top = 0.0
     parts = []
     for y0, y1, block in _smooth_blocks(img.pixels, sigma, pad=1):
-        gx, gy, s = gx_buf[:y1 - y0], gy_buf[:y1 - y0], s_buf[:y1 - y0]
-        _sobel(block, 2.0, gx, gy)
-        np.multiply(gx, gx, out=s)
-        np.add(s, gy * gy, out=s)
-        top = max(top, float(s.max()))
-        i, m = _hypot_where(gx, gy, s, low_frac * low_frac * top)
-        parts.append((i + y0 * w, m, _direction_bins(_orientation(gx.take(i), gy.take(i)))))
+        stride = block.shape[1]
+        if y0 == 0:  # the first block is the largest
+            gx, gy, sums, s = (np.empty(block.size) for _ in range(4))
+        size = _sobel(block.ravel(), stride, 2.0, gx, gy, sums)
+        np.multiply(gx[:size], gx[:size], out=s[:size])
+        np.multiply(gy[:size], gy[:size], out=sums[:size])
+        s[:size] += sums[:size]
+        rows = s[:size + 2].reshape(-1, stride)
+        rows[:, w:] = 0.0
+        top = max(top, float(rows.max()))
+        i = _candidates(rows, w, low_frac * low_frac * top)
+        # value r * stride + x of the block is pixel (y0 + r, x)
+        parts.append((i - (stride - w) * (i // stride) + y0 * w, gx.take(i), gy.take(i)))
     # freed before the NMS, whose peak would otherwise hold them too
-    del gx_buf, gy_buf, s_buf, gx, gy, s, block, i
-    idx, m, bins = (np.concatenate(p) for p in zip(*parts))
+    del gx, gy, sums, s, rows, block, i
+    idx, gx, gy = (np.concatenate(p) for p in zip(*parts))
     del parts
+    m = np.hypot(gx, gy)
     max_mag = float(m.max())
     if max_mag == 0.0:
         return EdgeMap(np.zeros((h, w), dtype=bool))
     reach = m >= low_frac * max_mag
-    idx, m, bins = idx[reach], m[reach], bins[reach]
+    idx, m = idx[reach], m[reach]
+    bins = _direction_bins(_orientation(gx[reach], gy[reach]))
+    del gx, gy, reach
     # pixel y * w + x sits at (y + 1) * (w + 2) + x + 1 in the padded raster
     centre = idx + 2 * (idx // w) + (w + 3)
     padded = np.zeros((h + 2) * (w + 2))

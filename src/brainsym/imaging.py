@@ -219,6 +219,15 @@ def _smooth_blocks(values, sigma: float, pad: int = 0):
     across a row end only lands in a filler column. The buffers are reused,
     not allocated per tap: fresh temporaries measured no faster, and up
     to 12% slower (ROADMAP item 2).
+
+    Each padded row gets its row pass once. A block's column pass reads
+    the row passes of n - 1 + 2 * pad padded rows that the block before
+    also read (n the kernel length); those are copied to the front of
+    `across`, and only the rows after them are row-passed. That is exact:
+    a row's real columns depend on that row alone, since the flat pass
+    reads across a row end only into filler columns. `across` starts
+    zeroed, so the filler columns a carried row never had written (the
+    last n - 1 of each pass's last row) are finite too.
     """
     k = _gaussian_kernel_1d(sigma)
     n = len(k)
@@ -229,21 +238,30 @@ def _smooth_blocks(values, sigma: float, pad: int = 0):
     stride = padded.shape[1]
     step = _block_rows(w)
     span = min(step, h) + 2 * pad
-    src, across, prod = (np.empty((span + n - 1) * stride) for _ in range(3))
+    src, prod = (np.empty((span + n - 1) * stride) for _ in range(2))
+    across = np.zeros((span + n - 1) * stride)
     block = np.zeros(span * stride)  # so filler no pass writes is finite too
     top, bottom = (1, h - 2) if h > 1 else (0, 0)
     left, right = (1, w - 2) if w > 1 else (0, 0)
+    first = end = 0  # across holds the row passes of padded rows first .. end-1
     for y0 in range(0, h, step):
         y1 = min(y0 + step, h)
         lo, hi = max(y0 - pad, 0), min(y1 + pad, h)
-        # smoothed rows lo..hi-1 read padded rows lo .. hi + n - 2
-        size = (hi - lo + n - 1) * stride
-        src[:size] = padded[lo:hi + n - 1].ravel()
-        size -= n - 1
-        np.multiply(src[:size], k[0], out=across[:size])
-        for i in range(1, n):
-            np.multiply(src[i:i + size], k[i], out=prod[:size])
-            across[:size] += prod[:size]
+        # smoothed rows lo..hi-1 read padded rows lo .. hi + n - 2; rows
+        # lo .. end-1 move to the front (an overlapping copy when the
+        # kernel is longer than a block), and the rest are row-passed
+        carry = (end - lo) * stride
+        across[:carry] = across[(lo - first) * stride:(end - first) * stride]
+        if end < hi + n - 1:  # not so for a last block of one row, pad 1
+            size = (hi + n - 1 - end) * stride
+            src[:size] = padded[end:hi + n - 1].ravel()
+            size -= n - 1
+            new = across[carry:carry + size]
+            np.multiply(src[:size], k[0], out=new)
+            for i in range(1, n):
+                np.multiply(src[i:i + size], k[i], out=prod[:size])
+                new += prod[:size]
+        first, end = lo, hi + n - 1
         size = (hi - lo - 1) * stride + w
         start = (lo - y0 + pad) * stride + pad
         out = block[start:start + size]

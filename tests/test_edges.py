@@ -22,7 +22,7 @@ from brainsym import (
     threshold_edges,
 )
 
-from brainsym.edges import GradientField, _direction_bins, _hypot_where
+from brainsym.edges import GradientField, _candidates, _direction_bins
 from brainsym.imaging import _block_rows
 
 from oracles import (
@@ -121,7 +121,8 @@ def _signed_raster(shape, seed, palette):
 
 
 @pytest.mark.parametrize("palette", [False, True])
-@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (2, 2), (3, 5), (16, 16), (40, 33)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (2, 2), (3, 5), (16, 16), (40, 33),
+                                   (65, 3), (63, 4), (64, 5)])
 @pytest.mark.parametrize("operator", ["sobel", "prewitt"])
 def test_gradient_matches_brute_force(operator, shape, palette):
     values = _signed_raster(shape, shape[0] * 100 + shape[1], palette)
@@ -368,7 +369,42 @@ def _canny_spec_cases():
             for sigma in (1.0, 2.0):
                 px = rng.integers(0, 256, size=(h, w))
                 cases.append((f"rows-{h}x{w}-s{sigma}", px, sigma, 0.1, 0.2))
-    return cases + _running_bound_cases()
+    return cases + _carry_cases() + _filler_cases() + _running_bound_cases()
+
+
+def _carry_cases():
+    """Heights at k * b - 1, k * b and k * b + 1 for b = _block_rows(w).
+    A block reads the row passes of the rows the block before also read;
+    at k * b + 1 the last block has one row and row-passes no new one. At
+    sigma 11 (67 taps; widths 1-3, 64-row blocks) and sigma 3 (19 taps;
+    width 2048, 16-row blocks) more rows are carried than a block has."""
+    rng = np.random.default_rng(61)
+    cases = []
+    for w, sigma, blocks in ((1, 11.0, 3), (2, 11.0, 3), (3, 11.0, 3), (2048, 3.0, 2)):
+        b = _block_rows(w)
+        for k in range(1, blocks + 1):
+            for h in (k * b - 1, k * b, k * b + 1):
+                px = rng.integers(0, 256, size=(h, w))
+                cases.append((f"carry-{h}x{w}-s{sigma}", px, sigma, 0.1, 0.2))
+    return cases
+
+
+def _filler_cases():
+    """sigma under 1/3 has 3 taps, so canny's block rows are w + 2 values
+    wide with no spare column: the filler of gx, gy and s is only columns
+    w and w + 1, where the Sobel differences read across a row end. Widths
+    3-5 at heights around a block; low_frac 1e-200 squares to 0, so the
+    bound is under 1e-300 and every pixel is a candidate."""
+    rng = np.random.default_rng(67)
+    cases = []
+    for w in (3, 4, 5):
+        b = _block_rows(w)
+        for h in (b - 1, b, b + 1):
+            px = rng.integers(0, 256, size=(h, w))
+            for sigma in (0.2, 0.33):
+                for low, high in ((0.1, 0.2), (1e-200, 0.5)):
+                    cases.append((f"filler-{h}x{w}-s{sigma}-low{low:g}", px, sigma, low, high))
+    return cases
 
 
 CANNY_SPEC_CASES = _canny_spec_cases()
@@ -423,6 +459,13 @@ def test_canny_property_matches_full_frame_spec(raw, sigma, thresholds):
                           brute_canny(raw, sigma, low, high))
 
 
+def _hypot_where(gx, gy, s, bound):
+    """canny's candidate step on one row of pixels: the flat indices that
+    _candidates keeps, and the hypot of the gathered gx and gy there."""
+    idx = _candidates(s[None, :], s.size, bound)
+    return idx, np.hypot(gx.take(idx), gy.take(idx))
+
+
 def test_hypot_where_keeps_every_pixel_reaching_the_bound():
     # magnitudes over 10**-170 .. 10**3, and densely where low**2 is subnormal
     rng = np.random.default_rng(37)
@@ -464,10 +507,11 @@ def test_canny_memory_at_513():
     # 15,057,508 bytes was the peak of the full-frame canny on this image,
     # 10,624,461 that of the candidate-only canny with a full-frame front
     # end, 8,432,358 that of smoothing and Sobel in row blocks, and
-    # 3,694,056 that of candidates picked in those blocks, and 3,018,065
-    # that of hysteresis on the weak pixels' runs, with no label raster; the
-    # cap allows 3% over the last
-    assert _canny_peak(_lesioned_513().pixels) <= 3_108_607
+    # 3,694,056 that of candidates picked in those blocks, 3,018,065 that
+    # of hysteresis on the weak pixels' runs, with no label raster, and
+    # 2,869,511 that of Sobel on the blocks' flat rows with hypot and the
+    # direction bins taken once; the cap allows 3% over the last
+    assert _canny_peak(_lesioned_513().pixels) <= 2_955_596
 
 
 def _y_squared_ramp():

@@ -288,6 +288,16 @@ def _smooth_shapes():
         for h in (1, 2, 3, b - 1, b, b + 1, 2 * b + 1):
             for sigma in (0.05, 0.5, 1.0, 2.0, 6.0):
                 yield h, w, sigma
+    # heights at k * b - 1, k * b and k * b + 1: every block after the first
+    # starts with the row passes of the rows the block before also read. At
+    # sigma 11 (67 taps; 64-row blocks at widths 1-3) and sigma 3 (19 taps;
+    # 16-row blocks at width 2048) more rows are carried than a block has,
+    # so the carry copy overlaps itself
+    for w, sigma, blocks in ((1, 11.0, 3), (2, 11.0, 3), (3, 11.0, 3), (2048, 3.0, 2)):
+        b = _block_rows(w)
+        for k in range(1, blocks + 1):
+            for h in (k * b - 1, k * b, k * b + 1):
+                yield h, w, sigma
 
 
 @pytest.mark.parametrize("h, w, sigma", list(_smooth_shapes()))
