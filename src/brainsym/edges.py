@@ -72,21 +72,6 @@ def _sobel(f: np.ndarray, stride: int, side: float, gx: np.ndarray, gy: np.ndarr
     return size - 2
 
 
-def _components(values: np.ndarray, operator: str) -> tuple[np.ndarray, np.ndarray]:
-    """The gx and gy rasters of gradient_raster, as C-contiguous float64."""
-    a = np.asarray(values, dtype=np.float64)
-    if operator in ("sobel", "prewitt"):
-        h, w = a.shape
-        f = np.pad(a, 1, mode="reflect").ravel()
-        gx, gy = np.empty(f.size), np.empty(f.size)
-        _sobel(f, w + 2, 2.0 if operator == "sobel" else 1.0, gx, gy, np.empty(f.size))
-        return tuple(g[:h * (w + 2)].reshape(h, w + 2)[:, :w].copy() for g in (gx, gy))
-    if operator == "roberts":
-        p = np.pad(a, ((0, 1), (0, 1)), mode="reflect")
-        return p[:-1, :-1] - p[1:, 1:], p[:-1, 1:] - p[1:, :-1]
-    raise ParameterError(f"unknown operator {operator!r}; valid: {', '.join(OPERATORS)}")
-
-
 def _orientation(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     """arctan2(gy, gx) with -pi folded to pi, so angles lie in (-pi, pi]."""
     orientation = np.arctan2(gy, gx)
@@ -95,8 +80,27 @@ def _orientation(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
 
 
 def gradient_raster(values: np.ndarray, operator: str) -> GradientField:
-    """Gradient of a float raster; see gradient() for the uint8 wrapper."""
-    gx, gy = _components(values, operator)
+    """Gradient of a float raster; see gradient() for the uint8 wrapper.
+
+    gx and gy come out C-contiguous float64. For |values| <= 2**1020 no
+    Sobel, Prewitt or Roberts pass can overflow, _sobel's filler columns
+    included: every sum is at most 4 * 2**1020, every difference at most
+    8 * 2**1020 and the magnitude at most 8 * sqrt(2) * 2**1020, below the
+    float maximum. Past that range numpy may warn from a filler column
+    even where the returned values are finite.
+    """
+    a = np.asarray(values, dtype=np.float64)
+    if operator in ("sobel", "prewitt"):
+        h, w = a.shape
+        f = np.pad(a, 1, mode="reflect").ravel()
+        gx, gy = np.empty(f.size), np.empty(f.size)
+        _sobel(f, w + 2, 2.0 if operator == "sobel" else 1.0, gx, gy, np.empty(f.size))
+        gx, gy = (g[:h * (w + 2)].reshape(h, w + 2)[:, :w].copy() for g in (gx, gy))
+    elif operator == "roberts":
+        p = np.pad(a, ((0, 1), (0, 1)), mode="reflect")
+        gx, gy = p[:-1, :-1] - p[1:, 1:], p[:-1, 1:] - p[1:, :-1]
+    else:
+        raise ParameterError(f"unknown operator {operator!r}; valid: {', '.join(OPERATORS)}")
     return GradientField(gx, gy, np.hypot(gx, gy), _orientation(gx, gy))
 
 
@@ -196,16 +200,14 @@ def nonmax_suppress(field: GradientField) -> np.ndarray:
     return out
 
 
-def _candidates(s: np.ndarray, w: int, bound: float) -> np.ndarray:
-    """Flat indices into s, rows of the first w pixel columns and then 0
-    filler, of the pixels with s >= bound * (1 - 1e-9), or of every pixel
-    when bound < 1e-300. With bound = low_frac**2 * max(s) this keeps the
-    pixel of largest magnitude and every pixel whose magnitude reaches
-    low_frac times that; see canny() for why."""
-    if bound >= 1e-300:
-        return np.flatnonzero(s >= bound * (1.0 - 1e-9))
-    rows, stride = s.shape
-    return (np.arange(rows)[:, None] * stride + np.arange(w)).ravel()
+def _candidates(s: np.ndarray, bound: float) -> np.ndarray:
+    """Flat indices into s of the pixels with s >= bound * (1 - 1e-9), or
+    with s >= 0 when bound < 1e-300. Every pixel has s >= 0 and canny's
+    filler columns hold -1, so the second test takes every pixel and no
+    filler. With bound = low_frac**2 * max(s) this keeps the pixel of
+    largest magnitude and every pixel whose magnitude reaches low_frac
+    times that; see canny() for why."""
+    return np.flatnonzero(s >= (bound * (1.0 - 1e-9) if bound >= 1e-300 else 0.0))
 
 
 def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> EdgeMap:
@@ -233,30 +235,31 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
     full frame, so every value is the full-frame one; the smoothing sums
     its taps in kernel order and calls no BLAS, so no value depends on the
     CPU's BLAS kernel. The columns past w of a row are filler, where the
-    Sobel differences read across a row end, so they are set to 0 in s
-    before its maximum and the candidate test: s >= 0, so 0 never raises
-    the maximum, and 0 fails the test whenever B_k >= 1e-300 (below); the
-    branch that takes every pixel takes the w real columns of each row.
+    Sobel differences read across a row end, so they are set to -1 in s
+    before its maximum and the candidate test: s >= 0 on every pixel, so
+    -1 never raises the maximum and fails every threshold the test uses,
+    0 included.
 
     Only pixels with magnitude >= low can be weak, so hypot, arctan2, the
     direction bins and the NMS run on candidates. Each block keeps, by
-    _candidates, the pixels with s >= B_k (1 - 1e-9), or every pixel
-    while B_k < 1e-300, for B_k = low_frac**2 * M_k and M_k the largest s
-    of the blocks so far; for those it keeps the raster index and the
-    gathered gx and gy. After the last block hypot runs once, on all of
-    them, and arctan2 and the direction bins once, on those reaching low.
-    The full-frame pass with the final bound B = low_frac**2 * max(s)
-    would keep the pixel of largest hypot, so max_mag is its magnitude,
-    and every pixel reaching low, which an exact re-check keeps. The
-    blocks keep all of those, and that re-check alone leaves exactly them:
-    - M_k is at most the final maximum M, and rounded multiplication is
-      monotone, so B_k (1 - 1e-9) <= B (1 - 1e-9), and every pixel the
-      full-frame pass keeps is kept by its block.
+    _candidates, the pixels with s >= T(B_k), for the threshold T(B) =
+    B (1 - 1e-9), or 0 while B < 1e-300, B_k = low_frac**2 * M_k and M_k
+    the largest s of the blocks so far; for those it keeps the raster
+    index and the gathered gx and gy. After the last block hypot runs
+    once, on all of them, and arctan2 and the direction bins once, on
+    those reaching low. The full-frame pass with the final bound B =
+    low_frac**2 * max(s) would keep the pixel of largest hypot, so max_mag
+    is its magnitude, and every pixel reaching low, which an exact
+    re-check keeps. The blocks keep all of those, and that re-check alone
+    leaves exactly them:
+    - M_k is at most the final maximum M, rounded multiplication is
+      monotone, and T is 0 below 1e-300 and positive from there on, so
+      T(B_k) <= T(B), and every pixel the full-frame pass keeps is kept
+      by its block.
     - A pixel that its block kept but the full-frame pass would not has
-      s < B (1 - 1e-9), so, as below, its hypot is under low: the re-check
-      drops it, and it cannot be the pixel of largest hypot, so no final
-      filter on s is needed.
-    - If B is under 1e-300, so is every B_k, and every pixel is kept.
+      s < T(B), so T(B) > 0 and, as below, its hypot is under low: the
+      re-check drops it, and it cannot be the pixel of largest hypot, so
+      no final filter on s is needed.
     - The largest of the blocks' maxima is max(s), with no rounding.
     hypot and arctan2 run on contiguous gathered copies, and an elementwise
     loop gives each element the same result wherever it sits, so every
@@ -281,7 +284,7 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
     B (1 - 1e-9 + 2u) once rounded, and 1e-9 exceeds 4e + 14u <= 46u by
     over 10**5. While B >= 1e-300 the slack, over 1e-310, also exceeds
     2**-1072 < 2e-323 by over 10**12. Below that, as when low_frac is
-    tiny, s and B can be subnormal or 0, so every pixel is taken. Nothing
+    tiny, s and B can be subnormal or 0, so the threshold is 0. Nothing
     overflows: smoothing keeps a uint8 image in [0, 255], so |gx|, |gy|
     <= 1020.
     """
@@ -301,9 +304,9 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
         np.multiply(gy[:size], gy[:size], out=sums[:size])
         s[:size] += sums[:size]
         rows = s[:size + 2].reshape(-1, stride)
-        rows[:, w:] = 0.0
+        rows[:, w:] = -1.0
         top = max(top, float(rows.max()))
-        i = _candidates(rows, w, low_frac * low_frac * top)
+        i = _candidates(rows, low_frac * low_frac * top)
         # value r * stride + x of the block is pixel (y0 + r, x)
         parts.append((i - (stride - w) * (i // stride) + y0 * w, gx.take(i), gy.take(i)))
     # freed before the NMS, whose peak would otherwise hold them too

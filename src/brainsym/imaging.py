@@ -85,19 +85,15 @@ _WHITESPACE = b" \t\r\n\x0b\x0c"
 _TOKEN = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\r\n]*)*([^ \t\r\n\x0b\x0c#]*)")
 
 
-def _next_token(data: bytes, pos: int, field: str) -> tuple[bytes, int]:
-    match = _TOKEN.match(data, pos)
-    if not match.group(1):
-        raise NetpbmError(field, "header ended before the value")
-    return match.group(1), match.end()
-
-
 def _int_token(data: bytes, pos: int, field: str) -> tuple[int, int]:
-    tok, pos = _next_token(data, pos, field)
+    match = _TOKEN.match(data, pos)
+    tok = match.group(1)
+    if not tok:
+        raise NetpbmError(field, "header ended before the value")
     if not tok.isdigit():
         raise NetpbmError(field, f"expected a decimal integer, got {tok!r}")
     try:
-        return int(tok), pos
+        return int(tok), match.end()
     except ValueError:  # past sys.get_int_max_str_digits()
         raise NetpbmError(field, f"integer of {len(tok)} digits is too long") from None
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from brainsym import (
     threshold_edges,
 )
 
-from brainsym.edges import GradientField, _candidates, _direction_bins
+from brainsym.edges import OPERATORS, GradientField, _candidates, _direction_bins
 from brainsym.imaging import _block_rows
 
 from oracles import (
@@ -131,6 +132,41 @@ def test_gradient_matches_brute_force(operator, shape, palette):
     for got, want in ((field.gx, gx), (field.gy, gy)):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _extreme_rasters():
+    """0 and +-1 rasters of sides 1-8: seeded random ones, and the period-4
+    column and row patterns [1, 1, -1, -1], where a Sobel sum of 4 minus
+    one of -4 makes |gx| or |gy| 8."""
+    rng = np.random.default_rng(71)
+    period = np.resize([1.0, 1.0, -1.0, -1.0], 8)
+    for h in range(1, 9):
+        for w in range(1, 9):
+            for _ in range(4):
+                yield rng.choice([-1.0, 0.0, 1.0], size=(h, w))
+            yield np.broadcast_to(period[:w], (h, w)).copy()
+            yield np.broadcast_to(period[:h, None], (h, w)).copy()
+
+
+def test_gradient_does_not_overflow_up_to_2_1020():
+    # gradient_raster's documented range: no pass, filler columns included,
+    # overflows or warns for |values| <= 2**1020. Scaling by a power of two
+    # is exact, so gx and gy are 2**1020 times those of the 0/+-1 raster
+    scale = 2.0**1020
+    largest = dict.fromkeys(OPERATORS, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for unit in _extreme_rasters():
+            for operator in OPERATORS:
+                field = gradient_raster(unit * scale, operator)
+                want = gradient_raster(unit, operator)
+                assert np.array_equal(field.gx, want.gx * scale)
+                assert np.array_equal(field.gy, want.gy * scale)
+                assert np.isfinite(field.magnitude).all()
+                assert np.isfinite(field.orientation).all()
+                largest[operator] = max(largest[operator], np.abs(want.gx).max(),
+                                        np.abs(want.gy).max())
+    assert largest == {"sobel": 8.0, "prewitt": 6.0, "roberts": 2.0}
 
 
 def test_gradient_memory_at_513():
@@ -462,7 +498,7 @@ def test_canny_property_matches_full_frame_spec(raw, sigma, thresholds):
 def _hypot_where(gx, gy, s, bound):
     """canny's candidate step on one row of pixels: the flat indices that
     _candidates keeps, and the hypot of the gathered gx and gy there."""
-    idx = _candidates(s[None, :], s.size, bound)
+    idx = _candidates(s, bound)
     return idx, np.hypot(gx.take(idx), gy.take(idx))
 
 
