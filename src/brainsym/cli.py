@@ -90,18 +90,14 @@ def _compute_edges(pre: GrayImage, operator: str, config: PipelineConfig):
     return threshold_edges(gradient(pre, operator), config.canny_high)
 
 
-def cmd_edges(args: argparse.Namespace) -> None:
-    config = _config_from_args(args)
-    img = _load_gray(args.input)
+def cmd_edges(args: argparse.Namespace, config: PipelineConfig, img: GrayImage) -> None:
     pre = preprocess(img, config)
     edge_map = _compute_edges(pre, args.operator, config)
     save_netpbm(GrayImage(edge_map.mask.astype(np.uint8) * 255), args.output)
     print(f"edges={edge_map.count}")
 
 
-def cmd_axis(args: argparse.Namespace) -> None:
-    config = _config_from_args(args)
-    img = _load_gray(args.input)
+def cmd_axis(args: argparse.Namespace, config: PipelineConfig, img: GrayImage) -> None:
     axis = fit_image_axis(preprocess(img, config), config)
     print(" ".join(f"c{i}={c:.6g}" for i, c in enumerate(axis.coeffs)))
     save_netpbm(_paint_overlay(img, axis, []), args.output)
@@ -143,9 +139,7 @@ def _write_json(path: Path, doc: dict) -> None:
     os.replace(tmp, path)
 
 
-def cmd_detect(args: argparse.Namespace) -> None:
-    config = _config_from_args(args)
-    img = _load_gray(args.input)
+def cmd_detect(args: argparse.Namespace, config: PipelineConfig, img: GrayImage) -> None:
     result = detect_pipeline(img, config)
     overlay = render_overlay(img, result)
     outdir = Path(args.outdir)
@@ -159,9 +153,7 @@ def cmd_detect(args: argparse.Namespace) -> None:
         print(result.message)
 
 
-def cmd_report(args: argparse.Namespace) -> None:
-    config = _config_from_args(args)
-    img = _load_gray(args.input)
+def cmd_report(args: argparse.Namespace, config: PipelineConfig, img: GrayImage) -> None:
     pre = preprocess(img, config)
     lines = ["operator,edges"]
     for operator in (*OPERATORS, "canny"):
@@ -274,7 +266,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        # an image subcommand gets its config and then its gray input, so a
+        # flag error exits 2 before the input is opened
+        image = (_config_from_args(args), _load_gray(args.input)) if "input" in args else ()
+        args.func(args, *image)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

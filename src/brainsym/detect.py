@@ -17,7 +17,7 @@ import numpy as np
 
 from ._runs import label_mask, run_pixels
 from .edges import EdgeMap, canny
-from .errors import BrainsymError, ParameterError, PipelineError
+from .errors import BrainsymError, ParameterError, PipelineError, _require_ints
 from .imaging import (
     GrayImage,
     RgbImage,
@@ -79,6 +79,7 @@ class PipelineConfig:
     pixel_spacing: float = 1.0      # mm per pixel
 
     def __post_init__(self):
+        _require_ints(self, "median_window", "axis_degree", "mirror_tol", "closing_radius")
         _gaussian_radius(self.sigma)
         if self.median_window != 0 and (self.median_window < 3 or self.median_window % 2 == 0):
             raise ParameterError(f"median_window must be 0 or odd >= 3, got {self.median_window}")

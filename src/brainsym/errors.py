@@ -1,5 +1,7 @@
 """Exception hierarchy shared by every brainsym module."""
 
+from numbers import Integral
+
 
 class BrainsymError(Exception):
     """Base class for all errors raised by this package."""
@@ -7,6 +9,21 @@ class BrainsymError(Exception):
 
 class ParameterError(BrainsymError, ValueError):
     """A parameter violates an operation's precondition."""
+
+
+def _require_ints(obj, *names: str) -> None:
+    """Raise ParameterError naming the first of obj's fields that does not
+    hold an integer; Python and numpy integers pass, and so does a bool.
+
+    Meant for a dataclass's __post_init__: each field is stored back as
+    a Python int (frozen or not), so no later arithmetic wraps in a
+    narrow numpy type.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, Integral):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))
 
 
 class NetpbmError(BrainsymError, ValueError):

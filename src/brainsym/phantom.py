@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _require_ints
 from .imaging import GrayImage
 
 BACKGROUND = 20
@@ -97,6 +97,9 @@ class LesionSpec:
     radius: int
     delta: int
 
+    def __post_init__(self):
+        _require_ints(self, "center_dx", "center_y", "radius", "delta")
+
 
 @dataclass(frozen=True)
 class PhantomSpec:
@@ -107,6 +110,9 @@ class PhantomSpec:
     semi_axis_y: int = 120
     noise_amplitude: int = 10
     lesion: LesionSpec | None = None
+
+    def __post_init__(self):
+        _require_ints(self, "width", "height", "seed")
 
 
 @dataclass(frozen=True, eq=False)

@@ -115,16 +115,26 @@ def _normal_equations(ys: np.ndarray, xs: np.ndarray, degree: int) -> tuple[np.n
     return matrix, rhs
 
 
-def _det(a: np.ndarray, n: int) -> float:
-    if n == 1:
-        return float(a[0, 0])
-    if n == 2:
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    return float(
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
+def _det(a: list[list[float]]) -> float:
+    """Determinant of a square nested list of floats, by Laplace
+    expansion along the first row down to 1x1 minors.
+
+    For n = 2 and 3 this forms the textbook products and adds them in
+    the textbook order: a00 a11 - a01 a10, and a00 M0 - a01 M1 + a02 M2
+    with the 2x2 minors Mj. Each sum is a plain left fold from -0.0, the
+    identity of IEEE addition, so a zero determinant keeps its sign (a
+    start of 0 would turn -0.0 into 0.0); the builtin sum() compensates
+    its rounding from Python 3.12 on and would not give these bits. A
+    k x k minor is at most k! m**k in size, m the largest absolute
+    entry, so every product a0j Mj and every partial sum is at most
+    n! m**n: the bound solve_cramer checks.
+    """
+    if len(a) == 1:
+        return a[0][0]
+    d = -0.0
+    for j in range(len(a)):
+        d += (-1) ** j * a[0][j] * _det([row[:j] + row[j + 1:] for row in a[1:]])
+    return d
 
 
 def solve_cramer(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -132,7 +142,8 @@ def solve_cramer(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     n is the length of rhs; matrix must be n x n. Entries must be finite,
     and small enough that n! m**n, m the largest absolute entry of matrix
-    and rhs, does not overflow.
+    and rhs, does not overflow. Every determinant is one Laplace
+    expansion (_det) on the entries as nested lists of Python floats.
     """
     a = np.asarray(matrix, dtype=np.float64)
     b = np.asarray(rhs, dtype=np.float64)
@@ -147,16 +158,14 @@ def solve_cramer(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if not math.prod([m] * n, start=math.factorial(n)) < math.inf:
         raise ParameterError(f"Cramer system needs finite entries and a finite n! m**n, "
                              f"m the largest absolute entry; got m = {m:g}")
-    det = _det(a, n)
+    rows = a.tolist()
+    det = _det(rows)
     scale = max(1.0, float(np.abs(a).max()) ** n)
     if abs(det) <= 1e-12 * scale:
         raise SingularSystemError("singular system: degenerate midpoint geometry")
-    solution = np.empty(n)
-    for i in range(n):
-        ai = a.copy()
-        ai[:, i] = b
-        solution[i] = _det(ai, n) / det
-    return solution
+    # x_i = det(A with column i replaced by b) / det(A)
+    return np.array([_det([r[:i] + [c] + r[i + 1:] for r, c in zip(rows, b.tolist())]) / det
+                     for i in range(n)])
 
 
 def fit_axis_lsm(samples: np.ndarray, degree: int) -> SymmetryAxis:

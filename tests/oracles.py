@@ -33,6 +33,20 @@ def gauss_eliminate(matrix, rhs):
     return np.array(x)
 
 
+def textbook_det(a):
+    """Determinant of a 1x1, 2x2 or 3x3 nested list of Python floats, by
+    the written-out formulas: products formed and added left to right."""
+    if len(a) == 1:
+        return a[0][0]
+    if len(a) == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return (
+        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+    )
+
+
 def flood_fill_components(mask):
     """All 8-connected components as sets of (x, y), via BFS."""
     m = np.asarray(mask, dtype=bool)

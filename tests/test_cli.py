@@ -9,6 +9,7 @@ import pytest
 from brainsym import (
     GrayImage,
     LesionSpec,
+    ParameterError,
     PhantomSpec,
     PipelineConfig,
     generate,
@@ -320,6 +321,26 @@ def test_detect_tiny_sigma_is_the_limit_kernel(phantom_paths, tmp_path):
 def test_detect_missing_input_exit_4(tmp_path):
     proc = run_cli("detect", tmp_path / "missing.pgm", "-d", tmp_path)
     assert proc.returncode == 4
+
+
+BAD_CONFIG_FLAGS = {
+    "sigma": (["--sigma", "-1"], dict(sigma=-1.0)),
+    "median": (["--median-window", "4"], dict(median_window=4)),
+    "canny": (["--canny-low", "0.5", "--canny-high", "0.4"], dict(canny_low=0.5, canny_high=0.4)),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_CONFIG_FLAGS)
+@pytest.mark.parametrize("command", IMAGE_COMMANDS)
+def test_flag_error_is_reported_before_the_input_is_read(tmp_path, capsys, command, bad):
+    flags, fields = BAD_CONFIG_FLAGS[bad]
+    with pytest.raises(ParameterError) as config_error:
+        PipelineConfig(**fields)
+    argv = [command, str(tmp_path / "missing.pgm"), IMAGE_COMMANDS[command], str(tmp_path / "out")]
+    assert cli.main(argv + flags) == 2
+    assert capsys.readouterr().err == f"error: {config_error.value}\n"
+    assert cli.main(argv) == 4
+    assert "missing.pgm" in capsys.readouterr().err
 
 
 def test_detect_failure_writes_no_report(phantom_paths, tmp_path):

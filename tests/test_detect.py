@@ -559,6 +559,26 @@ def test_config_validation():
             PipelineConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("mirror_tol", 2.5), ("axis_degree", 1.0), ("closing_radius", 2.5), ("median_window", 3.0),
+    ("mirror_tol", "2"), ("closing_radius", None), ("median_window", np.float64(3.0)),
+])
+def test_config_integer_fields_reject_non_integers(field, value):
+    with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
+        PipelineConfig(**{field: value})
+
+
+@pytest.mark.parametrize("int_type", [np.uint8, np.int8, np.int16, np.int64, np.uint64])
+def test_config_numpy_integer_fields_run_as_python_ints(int_type):
+    img, _ = generate(PhantomSpec(seed=5, lesion=LesionSpec(40, 128, 10, 60)))
+    fields = dict(median_window=3, axis_degree=1, mirror_tol=2, closing_radius=2)
+    config = PipelineConfig(**{k: int_type(v) for k, v in fields.items()})
+    assert all(type(getattr(config, k)) is int for k in fields)
+    assert config == PipelineConfig()
+    got, want = detect_pipeline(img, config), detect_pipeline(img)
+    assert vars(got) == vars(want) and want.verdict == "found"
+
+
 def test_render_overlay_palette():
     img, _ = generate(PhantomSpec(seed=5, lesion=LesionSpec(40, 128, 10, 60)))
     result = detect_pipeline(img)

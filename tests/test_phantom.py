@@ -116,6 +116,38 @@ def test_spec_validation(spec):
         generate(spec)
 
 
+@pytest.mark.parametrize("field, make", [
+    ("width", lambda: PhantomSpec(width=257.0)),
+    ("height", lambda: PhantomSpec(height=257.0)),
+    ("seed", lambda: PhantomSpec(seed=1.5)),
+    ("seed", lambda: PhantomSpec(seed="1")),
+    ("center_dx", lambda: LesionSpec(30.0, 128, 10, 60)),
+    ("center_y", lambda: LesionSpec(30, 128.0, 10, 60)),
+    ("radius", lambda: LesionSpec(30, 128, 10.0, 60)),
+    ("delta", lambda: LesionSpec(30, 128, 10, 60.5)),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_integer_fields_reject_non_integers(field, make):
+    # checked when the spec is built, so no invalid spec reaches generate
+    with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
+        make()
+
+
+@pytest.mark.parametrize("int_type", [np.uint8, np.int16, np.int64, np.uint64, bool])
+def test_numpy_integer_fields_give_the_python_int_phantom(int_type):
+    # the fields are stored as Python ints when the spec is built: a numpy seed would
+    # overflow the LCG's 64-bit mask, and int16 sizes would wrap in the
+    # pixel-count check
+    spec = PhantomSpec(width=41, height=41, semi_axis_x=15, semi_axis_y=15,
+                       lesion=LesionSpec(1, 20, 1, 1))
+    typed = PhantomSpec(width=np.int64(41), height=np.int16(41), seed=int_type(1),
+                        semi_axis_x=15, semi_axis_y=15,
+                        lesion=LesionSpec(int_type(1), np.uint8(20), int_type(1), int_type(1)))
+    assert typed == spec and all(type(v) is int for v in vars(typed.lesion).values())
+    (img, truth), (ref, ref_truth) = generate(typed), generate(spec)
+    assert np.array_equal(img.pixels, ref.pixels)
+    assert np.array_equal(truth.lesion_mask, ref_truth.lesion_mask)
+
+
 @pytest.mark.parametrize("width", [39, 40, 41, 42])
 def test_accepted_lesions_lie_inside_the_skull(width):
     # centres across the whole raster, radii up to past the raster's half

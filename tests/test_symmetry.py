@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,9 +21,9 @@ from brainsym import (
     row_midpoints,
     solve_cramer,
 )
-from brainsym.symmetry import _normal_equations
+from brainsym.symmetry import _det, _normal_equations
 
-from oracles import brute_row_midpoints, flood_fill_components, gauss_eliminate
+from oracles import brute_row_midpoints, flood_fill_components, gauss_eliminate, textbook_det
 
 
 def disk_image(size=64, center=(32, 32), radius=15, fg=200, bg=20):
@@ -279,6 +280,41 @@ def test_cramer_solves_large_entries_in_range():
     # 2 * (1e150)**2 and 6 * (1e100)**3 are finite, so these still solve
     assert solve_cramer(np.diag([1e150, 1e150]), np.array([1e150, 2e150])).tolist() == [1.0, 2.0]
     assert solve_cramer(np.diag([1e100] * 3), np.full(3, 1e100)).tolist() == [1.0, 1.0, 1.0]
+
+
+def test_cramer_keeps_signed_zeros():
+    # each expansion starts from -0.0; a start from 0 would give [0.0, 0.0]
+    x = solve_cramer(np.eye(2), np.array([-0.0, 0.0]))
+    assert [v.hex() for v in x.tolist()] == ["-0x0.0p+0", "0x0.0p+0"]
+
+
+def test_det_adds_cancelling_terms_left_to_right():
+    # first-row terms 1e16, 1 and -1e16: the written-out formula rounds
+    # 1e16 + 1 to 1e16 and gives 0.0; a compensated sum would give 1.0
+    rows = [[1e16, -1.0, -1e16], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
+    assert textbook_det(rows).hex() == "0x0.0p+0"
+    assert _det(rows).hex() == "0x0.0p+0"
+
+
+def _det_cases(rng, n):
+    """Normal, small-integer, {0, -0, +-1, 2} and 10**+-150-scaled n x n matrices."""
+    yield rng.normal(size=(n, n))
+    yield rng.integers(-4, 5, size=(n, n)).astype(np.float64)
+    yield np.array([0.0, -0.0, 1.0, -1.0, 2.0])[rng.integers(0, 5, size=(n, n))]
+    yield rng.normal(size=(n, n)) * 10.0 ** rng.choice([-150, 150])
+
+
+def test_det_matches_written_out_formulas_bit_for_bit():
+    rng = np.random.default_rng(2022)
+    signed_zeros = 0
+    for _ in range(1500):
+        for n in (1, 2, 3):
+            for a in _det_cases(rng, n):
+                rows = a.tolist()
+                want = textbook_det(rows)
+                assert _det(rows).hex() == want.hex(), rows
+                signed_zeros += want == 0.0 and math.copysign(1.0, want) < 0
+    assert signed_zeros > 100  # the sweep reaches -0.0 determinants
 
 
 def test_cramer_matches_elimination_oracle():
