@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._runs import label_mask, run_pixels
-from .edges import EdgeMap, canny
+from .edges import EdgeMap, _check_thresholds, canny
 from .errors import BrainsymError, ParameterError, PipelineError, _require_ints
 from .imaging import (
     GrayImage,
@@ -83,11 +83,7 @@ class PipelineConfig:
         _gaussian_radius(self.sigma)
         if self.median_window != 0 and (self.median_window < 3 or self.median_window % 2 == 0):
             raise ParameterError(f"median_window must be 0 or odd >= 3, got {self.median_window}")
-        if not (0.0 < self.canny_low < self.canny_high < 1.0):
-            raise ParameterError(
-                f"canny thresholds must satisfy 0 < low < high < 1, "
-                f"got low={self.canny_low} high={self.canny_high}"
-            )
+        _check_thresholds(self.canny_low, self.canny_high)
         if self.axis_degree not in (1, 2):
             raise ParameterError(f"axis_degree must be 1 or 2, got {self.axis_degree}")
         if not (0.0 <= self.min_span_frac <= 1.0):

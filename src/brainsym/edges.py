@@ -210,6 +210,16 @@ def _candidates(s: np.ndarray, bound: float) -> np.ndarray:
     return np.flatnonzero(s >= (bound * (1.0 - 1e-9) if bound >= 1e-300 else 0.0))
 
 
+def _check_thresholds(low_frac: float, high_frac: float) -> None:
+    """Canny's thresholds, as fractions of the largest gradient magnitude,
+    must satisfy 0 < low < high < 1; PipelineConfig checks them here too."""
+    if not 0.0 < low_frac < high_frac < 1.0:
+        raise ParameterError(
+            f"canny thresholds must satisfy 0 < low < high < 1, "
+            f"got low={low_frac} high={high_frac}"
+        )
+
+
 def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> EdgeMap:
     """Canny detector: float-domain Gaussian smoothing, Sobel gradients,
     4-bin non-maximum suppression, double threshold and hysteresis.
@@ -288,10 +298,7 @@ def canny(img: GrayImage, sigma: float, low_frac: float, high_frac: float) -> Ed
     overflows: smoothing keeps a uint8 image in [0, 255], so |gx|, |gy|
     <= 1020.
     """
-    if not (0.0 < low_frac < high_frac < 1.0):
-        raise ParameterError(
-            f"thresholds must satisfy 0 < low < high < 1, got low={low_frac} high={high_frac}"
-        )
+    _check_thresholds(low_frac, high_frac)
     h, w = img.pixels.shape
     top = 0.0
     parts = []

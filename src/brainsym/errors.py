@@ -11,19 +11,21 @@ class ParameterError(BrainsymError, ValueError):
     """A parameter violates an operation's precondition."""
 
 
-def _require_ints(obj, *names: str) -> None:
-    """Raise ParameterError naming the first of obj's fields that does not
-    hold an integer; Python and numpy integers pass, and so does a bool.
+def _require_int(name: str, value) -> int:
+    """value as a Python int, so no later arithmetic wraps in a narrow
+    numpy type; Python and numpy integers pass, and so does a bool.
+    Anything else raises ParameterError naming `name`."""
+    if not isinstance(value, Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
-    Meant for a dataclass's __post_init__: each field is stored back as
-    a Python int (frozen or not), so no later arithmetic wraps in a
-    narrow numpy type.
-    """
+
+def _require_ints(obj, *names: str) -> None:
+    """_require_int on each of obj's fields `names`, in order, storing
+    each back as a Python int (frozen or not). Meant for a dataclass's
+    __post_init__."""
     for name in names:
-        value = getattr(obj, name)
-        if not isinstance(value, Integral):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(obj, name, int(value))
+        object.__setattr__(obj, name, _require_int(name, getattr(obj, name)))
 
 
 class NetpbmError(BrainsymError, ValueError):

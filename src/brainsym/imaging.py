@@ -80,9 +80,10 @@ class RgbImage(_Raster):
 # ---------------------------------------------------------------------------
 # netpbm I/O (binary P5/P6, maxval 255)
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
-# whitespace and "#" comments (each up to a CR or LF), then one token
-_TOKEN = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\r\n]*)*([^ \t\r\n\x0b\x0c#]*)")
+# whitespace and "#" comments (each up to a CR or LF), then one token; in
+# a bytes pattern \s is exactly the six netpbm whitespace bytes, space, \t,
+# \n, \r, \v and \f, the bytes that bytes.isspace() accepts
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
 
 def _int_token(data: bytes, pos: int, field: str) -> tuple[int, int]:
@@ -120,7 +121,7 @@ def load_netpbm(path) -> GrayImage | RgbImage:
     maxval, pos = _int_token(data, pos, "maxval")
     if maxval != 255:
         raise NetpbmError("maxval", f"only maxval 255 is supported, got {maxval}")
-    if pos >= len(data) or data[pos:pos + 1] not in _WHITESPACE:
+    if not data[pos:pos + 1].isspace():  # False past the end too
         raise NetpbmError("payload", "missing whitespace byte after maxval")
     pos += 1
     expected = width * height * channels
@@ -200,6 +201,17 @@ def _block_rows(width: int) -> int:
     return max(16, min(64, -(-(1 << 15) // width)))
 
 
+def _tap_sum(v, k, step, out, prod):
+    """out = k[0] * v[0:] + k[1] * v[step:] + ..., over out.size values:
+    k[0] * v first, then += k[i] * v[i * step:] in kernel order, each
+    product and each sum one ufunc pass. prod is scratch of out's size.
+    The row pass takes step 1, the column pass the padded row length."""
+    np.multiply(v[:out.size], k[0], out=out)
+    for i in range(1, len(k)):
+        np.multiply(v[i * step:i * step + out.size], k[i], out=prod)
+        out += prod
+
+
 def _smooth_blocks(values, sigma: float, pad: int = 0):
     """Smooth a 2-D raster one block of rows at a time (see smooth_raster).
 
@@ -252,19 +264,11 @@ def _smooth_blocks(values, sigma: float, pad: int = 0):
             size = (hi + n - 1 - end) * stride
             src[:size] = padded[end:hi + n - 1].ravel()
             size -= n - 1
-            new = across[carry:carry + size]
-            np.multiply(src[:size], k[0], out=new)
-            for i in range(1, n):
-                np.multiply(src[i:i + size], k[i], out=prod[:size])
-                new += prod[:size]
+            _tap_sum(src, k, 1, across[carry:carry + size], prod[:size])
         first, end = lo, hi + n - 1
         size = (hi - lo - 1) * stride + w
         start = (lo - y0 + pad) * stride + pad
-        out = block[start:start + size]
-        np.multiply(across[:size], k[0], out=out)
-        for i in range(1, n):
-            np.multiply(across[i * stride:i * stride + size], k[i], out=prod[:size])
-            out += prod[:size]
+        _tap_sum(across, k, stride, block[start:start + size], prod[:size])
         rows = block[:(y1 - y0 + 2 * pad) * stride].reshape(-1, stride)
         if pad:
             if y0 == 0:

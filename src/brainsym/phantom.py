@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _require_ints
+from .errors import ParameterError, _require_int, _require_ints
 from .imaging import GrayImage
 
 BACKGROUND = 20
@@ -47,13 +47,15 @@ class Lcg64:
     MASK = (1 << 64) - 1
 
     def __init__(self, seed: int):
-        self.state = seed & self.MASK
+        self.state = _require_int("seed", seed) & self.MASK
 
     def next_bits(self) -> int:
         self.state = (self.MULTIPLIER * self.state + self.INCREMENT) & self.MASK
         return self.state >> 33
 
     def uniform_int(self, lo: int, hi: int) -> int:
+        if hi < lo:
+            raise ParameterError(f"uniform_int needs lo <= hi, got lo={lo} hi={hi}")
         return lo + self.next_bits() % (hi - lo + 1)
 
 
@@ -80,7 +82,7 @@ def _lcg_blocks(seed: int, count: int):
     uint64 wrap-around for the mod 2**64; the block's last state starts
     the next block.
     """
-    state = seed & Lcg64.MASK
+    state = Lcg64(seed).state
     for start in range(0, count, _JUMP_BLOCK):
         n = min(_JUMP_BLOCK, count - start)
         states = _JUMP_MULT[:n] * state + _JUMP_INC[:n]
@@ -128,10 +130,11 @@ def _ellipse(spec: PhantomSpec, ys, xs) -> np.ndarray:
 
 
 def _lesion_disk(spec: PhantomSpec) -> tuple[tuple[slice, slice], np.ndarray]:
-    """The lesion's bounding box as slices, not clipped to the raster, and
-    its disk mask over the box. A box that leaves the raster is rejected
-    before the mask is built; a disk inside the skull ellipse, 4 px from
-    every border, has its whole box inside the raster."""
+    """The lesion's bounding box as slices and its disk mask over the box;
+    a disk not wholly inside the skull ellipse is a ParameterError. A box
+    that leaves the raster is rejected before the mask is built; a disk
+    inside the skull ellipse, 4 px from every border, has its whole box
+    inside the raster."""
     lesion = spec.lesion
     w, r = spec.width, lesion.radius
     # ceil(lx - r) and floor(lx + r) + 1 for the centre column lx, in integers
@@ -142,10 +145,15 @@ def _lesion_disk(spec: PhantomSpec) -> tuple[tuple[slice, slice], np.ndarray]:
     box = (slice(y0, y1), slice(x0, x1))
     by, bx = np.ogrid[box]
     lx = (w - 1) / 2.0 + lesion.center_dx
-    return box, (bx - lx) ** 2 + (by - float(lesion.center_y)) ** 2 <= r ** 2
+    disk = (bx - lx) ** 2 + (by - float(lesion.center_y)) ** 2 <= r ** 2
+    if not np.all(_ellipse(spec, by, bx)[disk]):
+        raise ParameterError("lesion disk must lie entirely inside the skull ellipse")
+    return box, disk
 
 
-def _validate(spec: PhantomSpec) -> None:
+def _validate(spec: PhantomSpec) -> tuple[tuple[slice, slice], np.ndarray] | None:
+    """Check spec before any raster is allocated; returns the lesion's
+    checked (box, disk) from _lesion_disk, or None without a lesion."""
     if spec.width < 1 or spec.height < 1:
         raise ParameterError(f"raster must be at least 1x1, got {spec.width}x{spec.height}")
     if spec.width * spec.height > np.iinfo(np.intp).max:
@@ -165,14 +173,12 @@ def _validate(spec: PhantomSpec) -> None:
         )
     lesion = spec.lesion
     if lesion is None:
-        return
+        return None
     if lesion.radius < 1:
         raise ParameterError(f"lesion radius must be >= 1, got {lesion.radius}")
     if abs(lesion.delta) < 1:
         raise ParameterError(f"lesion delta must satisfy |delta| >= 1, got {lesion.delta}")
-    box, disk = _lesion_disk(spec)
-    if not np.all(_ellipse(spec, *np.ogrid[box])[disk]):
-        raise ParameterError("lesion disk must lie entirely inside the skull ellipse")
+    return _lesion_disk(spec)
 
 
 def generate(spec: PhantomSpec) -> tuple[GrayImage, GroundTruth]:
@@ -185,7 +191,7 @@ def generate(spec: PhantomSpec) -> tuple[GrayImage, GroundTruth]:
     the jump-ahead formula in the Lcg64 docstring, and equal the
     per-pixel Lcg64 loop exactly.
     """
-    _validate(spec)
+    lesion = _validate(spec)
     w, h = spec.width, spec.height
     left_cols = (w + 1) // 2
     ys, xs = np.ogrid[0:h, 0:left_cols]
@@ -206,8 +212,8 @@ def generate(spec: PhantomSpec) -> tuple[GrayImage, GroundTruth]:
     np.copyto(img[:, ::-1][:, :mirrored], left[:, :mirrored], where=ellipse[:, :mirrored])
 
     lesion_mask = np.zeros((h, w), dtype=bool)
-    if spec.lesion is not None:
-        box, disk = _lesion_disk(spec)
+    if lesion is not None:
+        box, disk = lesion
         lesion_mask[box] = disk
         img[box][disk] = min(255, max(0, TISSUE + spec.lesion.delta))
 

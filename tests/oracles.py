@@ -347,6 +347,28 @@ def brute_close(mask, radius):
     return out
 
 
+def brute_fill_holes(mask):
+    """mask with its holes set: a 4-connected flood fill (BFS) of the
+    background from every background pixel on the border; each
+    background pixel the fill does not reach is a hole pixel."""
+    m = np.asarray(mask, dtype=bool).tolist()
+    height, width = len(m), len(m[0])
+    outside = [[False] * width for _ in range(height)]
+    queue = deque()
+    for y in range(height):
+        for x in range(width):
+            if (y in (0, height - 1) or x in (0, width - 1)) and not m[y][x]:
+                outside[y][x] = True
+                queue.append((x, y))
+    while queue:
+        x, y = queue.popleft()
+        for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if 0 <= nx < width and 0 <= ny < height and not m[ny][nx] and not outside[ny][nx]:
+                outside[ny][nx] = True
+                queue.append((nx, ny))
+    return ~np.array(outside, dtype=bool)
+
+
 def reaches_strong(mask, strong, start):
     """BFS within mask from start; True if some strong pixel is reachable."""
     m = np.asarray(mask, dtype=bool)

@@ -22,6 +22,7 @@ from brainsym import (
     close_mask,
     connected_components,
     detect_pipeline,
+    fit_image_axis,
     generate,
     measure,
     preprocess,
@@ -32,6 +33,7 @@ from brainsym._runs import label_mask, run_pixels
 from oracles import (
     brute_asymmetry,
     brute_close,
+    brute_fill_holes,
     flood_fill_components,
 )
 
@@ -559,6 +561,20 @@ def test_config_validation():
             PipelineConfig(**kwargs)
 
 
+@pytest.mark.parametrize("low, high", [
+    (0.5, 0.4), (0.2, 0.2), (0.0, 0.2), (0.1, 1.0), (float("nan"), 0.2), (0.1, float("inf")),
+])
+def test_config_and_canny_reject_thresholds_with_one_message(low, high):
+    img = GrayImage(np.zeros((8, 8), dtype=np.uint8))
+    with pytest.raises(ParameterError) as from_config:
+        PipelineConfig(canny_low=low, canny_high=high)
+    with pytest.raises(ParameterError) as from_canny:
+        canny(img, 1.0, low, high)
+    assert str(from_canny.value) == str(from_config.value) == (
+        f"canny thresholds must satisfy 0 < low < high < 1, got low={low} high={high}"
+    )
+
+
 @pytest.mark.parametrize("field, value", [
     ("mirror_tol", 2.5), ("axis_degree", 1.0), ("closing_radius", 2.5), ("median_window", 3.0),
     ("mirror_tol", "2"), ("closing_radius", None), ("median_window", np.float64(3.0)),
@@ -681,3 +697,79 @@ def _stressed_healthy(index):
 def test_stressed_healthy_phantoms_are_not_found(config):
     found = [i for i in range(60) if detect_pipeline(_stressed_healthy(i), config).verdict != "not-found"]
     assert found == []
+
+
+# ---------------------------------------------------------------------------
+# hole-filling oracle: a 4-connected flood fill of the background from the
+# border, against scipy's binary_fill_holes, whose default structure is the
+# 4-connected cross
+
+def _rings():
+    ring = np.zeros((9, 9), dtype=bool)
+    ring[2:7, 2:7] = True
+    ring[3:6, 3:6] = False
+    filled = np.zeros((9, 9), dtype=bool)
+    filled[2:7, 2:7] = True
+    nested = np.zeros((15, 15), dtype=bool)
+    for k in (1, 5):  # the outlines of squares k .. 13 - k: two holes
+        nested[k:15 - k, k:15 - k] = True
+        nested[k + 1:14 - k, k + 1:14 - k] = False
+    nested_filled = np.zeros((15, 15), dtype=bool)
+    nested_filled[1:14, 1:14] = True
+    border = np.zeros((6, 8), dtype=bool)  # shares the raster's top row and left column
+    border[0:4, 0:5] = True
+    border[1:3, 1:4] = False
+    border_filled = np.zeros((6, 8), dtype=bool)
+    border_filled[0:4, 0:5] = True
+    # a diamond, 8-connected only: its centre's four neighbours are all
+    # set, so to the 4-connected background the centre is a hole
+    diamond = np.zeros((5, 5), dtype=bool)
+    diamond[[1, 2, 3, 2], [2, 1, 2, 3]] = True
+    diamond_filled = diamond.copy()
+    diamond_filled[2, 2] = True
+    return [
+        ("empty", np.zeros((7, 5), dtype=bool), np.zeros((7, 5), dtype=bool)),
+        ("full", np.ones((7, 5), dtype=bool), np.ones((7, 5), dtype=bool)),
+        ("ring", ring, filled),
+        ("nested-rings", nested, nested_filled),
+        ("ring-on-the-border", border, border_filled),
+        ("diamond", diamond, diamond_filled),
+    ]
+
+
+RINGS = _rings()
+
+
+@pytest.mark.parametrize("name, mask, expected", RINGS, ids=[name for name, _, _ in RINGS])
+def test_fill_holes_oracle_on_rings(name, mask, expected):
+    assert np.array_equal(brute_fill_holes(mask), expected)
+    assert np.array_equal(ndimage.binary_fill_holes(mask), expected)
+
+
+def test_fill_holes_oracle_matches_scipy_on_random_masks():
+    rng = np.random.default_rng(2311)
+    shapes = [(1, 1), (1, 2), (2, 1), (1, 17), (17, 1), (2, 2), (3, 3), (40, 40)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 41, size=2)) for _ in range(40)]
+    with_holes = 0
+    for shape in shapes:
+        for density in (0.2, 0.35, 0.5, 0.65, 0.8):
+            mask = rng.random(shape) < density
+            filled = brute_fill_holes(mask)
+            assert np.array_equal(filled, ndimage.binary_fill_holes(mask)), (shape, density)
+            assert np.all(filled >= mask)
+            with_holes += bool((filled != mask).any())
+    assert with_holes > 50
+
+
+@pytest.mark.parametrize("seed", [3, 17, 41])
+def test_fill_holes_oracle_on_closed_lesion_edges(seed):
+    # the closed mask detect_pipeline hands to connected_components
+    config = PipelineConfig()
+    img, _ = generate(PhantomSpec(seed=seed, lesion=LesionSpec(40, 128, 10, 60)))
+    pre = preprocess(img, config)
+    edges = canny(pre, config.sigma, config.canny_low, config.canny_high)
+    axis = fit_image_axis(pre, config)
+    closed = close_mask(asymmetry_map(edges, axis, config.mirror_tol), config.closing_radius)
+    filled = brute_fill_holes(closed)
+    assert np.array_equal(filled, ndimage.binary_fill_holes(closed))
+    assert filled.sum() > closed.sum()  # the lesion's edge ring encloses a hole

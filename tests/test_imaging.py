@@ -144,6 +144,8 @@ def test_header_tokens(tmp_path, header, width, height):
         pytest.param(b"P5", "width", "header ended before the value", id="no-width"),
         pytest.param(b"P5 2 1 255#c\n\x00\x00", "payload", "missing whitespace byte after maxval",
                      id="comment-right-after-maxval"),
+        pytest.param(b"P5 2 1 255", "payload", "missing whitespace byte after maxval",
+                     id="header-ends-at-maxval"),
         pytest.param(b"P5 2 -1 255\n\x00\x00", "height", "expected a decimal integer, got b'-1'",
                      id="signed-height"),
     ],
@@ -154,6 +156,36 @@ def test_header_token_errors(tmp_path, payload, field, message):
     with pytest.raises(NetpbmError) as err:
         load_netpbm(path)
     assert str(err.value) == f"{field}: {message}"
+
+
+NETPBM_WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+# whitespace to str.isspace and to a str regex's \s, but not to netpbm
+UNICODE_ONLY_SPACE = [b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\x85", b"\xa0"]
+
+
+@pytest.mark.parametrize("ws", NETPBM_WHITESPACE, ids=lambda b: f"0x{b[0]:02x}")
+def test_each_netpbm_whitespace_byte_separates_and_ends_the_header(tmp_path, ws):
+    path = tmp_path / "ws.pgm"
+    path.write_bytes(b"P5" + ws + b"2" + ws + b"1" + ws + b"255" + ws + b"\x09\x20")
+    assert load_netpbm(path).pixels.tolist() == [[9, 32]]
+
+
+@pytest.mark.parametrize("byte", UNICODE_ONLY_SPACE, ids=lambda b: f"0x{b[0]:02x}")
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda b: b"P5 2 1 255" + b + b"\x01\x02", "maxval"),  # joins the maxval token
+        (lambda b: b"P5" + b + b"2 1 255\n\x01\x02", "width"),
+        (lambda b: b"P5 2" + b + b"1 255\n\x01\x02", "width"),
+    ],
+    ids=["after-maxval", "after-magic", "between-width-and-height"],
+)
+def test_non_netpbm_space_bytes_are_not_whitespace(tmp_path, byte, make, field):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(make(byte))
+    with pytest.raises(NetpbmError) as err:
+        load_netpbm(path)
+    assert err.value.field == field
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from brainsym import (
     PhantomSpec,
     generate,
 )
+from brainsym import phantom
 from brainsym.phantom import _JUMP_BLOCK, _jump_table, _lcg_blocks
 
 from oracles import brute_generate
@@ -30,6 +31,36 @@ def test_lcg_uniform_int_range():
     assert min(draws) >= -10
     assert max(draws) <= 10
     assert len(set(draws)) > 5
+
+
+@pytest.mark.parametrize("seed, value", [
+    *((t(5), 5) for t in (np.int8, np.int16, np.int32, np.int64,
+                          np.uint8, np.uint16, np.uint32, np.uint64)),
+    *((t(-1), -1) for t in (np.int8, np.int16, np.int32, np.int64)),
+    (np.uint64(2**64 - 1), -1),  # the same state mod 2**64
+    (True, 1),
+], ids=lambda v: f"{type(v).__name__}({v})" if not isinstance(v, int) else str(v))
+def test_lcg_takes_any_integer_seed(seed, value):
+    # stored as a Python int mod 2**64: a numpy seed used to overflow the
+    # mask (OverflowError) or the state update (another stream)
+    rng, ref = Lcg64(seed), Lcg64(value)
+    assert type(rng.state) is int
+    assert [rng.next_bits() for _ in range(8)] == [ref.next_bits() for _ in range(8)]
+
+
+@pytest.mark.parametrize("seed", [1.5, 5.0, "3", None, np.float64(5)], ids=repr)
+def test_lcg_rejects_non_integer_seeds(seed):
+    with pytest.raises(ParameterError, match="^seed must be an integer"):
+        Lcg64(seed)
+
+
+def test_uniform_int_rejects_an_empty_range():
+    rng = Lcg64(9)
+    for lo, hi in ((5, 4), (0, -3)):
+        with pytest.raises(ParameterError, match="^uniform_int needs lo <= hi"):
+            rng.uniform_int(lo, hi)
+    assert rng.state == 9  # no draw was made
+    assert rng.uniform_int(4, 4) == 4
 
 
 def test_symmetric_phantom_mirror_exact():
@@ -170,6 +201,37 @@ def test_accepted_lesions_lie_inside_the_skull(width):
                 assert truth.lesion_mask.any()
                 assert not np.any(truth.lesion_mask & ~skull), spec.lesion
     assert accepted > 100
+
+
+@pytest.mark.parametrize("lesion", [
+    LesionSpec(120, 128, 10, 60),  # pokes out of the ellipse
+    LesionSpec(0, 10, 10, 60),     # pokes past the top
+    LesionSpec(0, 128, 10**12, 60),
+    LesionSpec(40, 128, 0, 60),
+], ids=["outside-skull", "outside-raster", "huge", "radius-0"])
+def test_bad_lesion_is_rejected_before_any_noise_is_drawn(monkeypatch, lesion):
+    def no_draws(seed, count):
+        raise AssertionError("noise drawn for an invalid spec")
+
+    monkeypatch.setattr(phantom, "_lcg_blocks", no_draws)
+    with pytest.raises(ParameterError):
+        generate(PhantomSpec(lesion=lesion))
+
+
+def test_generate_builds_the_lesion_disk_once(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return lesion_disk(spec)
+
+    lesion_disk = phantom._lesion_disk
+    monkeypatch.setattr(phantom, "_lesion_disk", counted)
+    spec = PhantomSpec(seed=5, lesion=LesionSpec(30, 110, 12, 60))
+    _, truth = generate(spec)
+    assert len(calls) == 1
+    box, disk = lesion_disk(spec)
+    assert np.array_equal(truth.lesion_mask[box], disk) and truth.lesion_mask.sum() == disk.sum()
 
 
 def test_lesion_far_past_the_raster_is_rejected():
