@@ -70,8 +70,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                    help="low hysteresis fraction of max magnitude (default %(default)s)")
     g.add_argument("--canny-high", type=float, default=PipelineConfig.canny_high,
                    help="high hysteresis fraction of max magnitude (default %(default)s)")
-    g.add_argument("--axis-degree", type=int, default=PipelineConfig.axis_degree, choices=(1, 2),
-                   help="symmetry axis polynomial degree (default %(default)s)")
+    g.add_argument("--axis-degree", type=int, default=PipelineConfig.axis_degree,
+                   help="symmetry axis polynomial degree, 1 or 2 (default %(default)s)")
     g.add_argument("--min-span-frac", type=float, default=PipelineConfig.min_span_frac,
                    help="minimum row span as a fraction of width (default %(default)s)")
     g.add_argument("--mirror-tol", type=int, default=PipelineConfig.mirror_tol,

@@ -17,7 +17,8 @@ import numpy as np
 
 from ._runs import label_mask, run_pixels
 from .edges import EdgeMap, _check_thresholds, canny
-from .errors import BrainsymError, ParameterError, PipelineError, _require_ints
+from .errors import (BrainsymError, ParameterError, PipelineError, _require_fields, _require_int,
+                     _require_real)
 from .imaging import (
     GrayImage,
     RgbImage,
@@ -79,7 +80,10 @@ class PipelineConfig:
     pixel_spacing: float = 1.0      # mm per pixel
 
     def __post_init__(self):
-        _require_ints(self, "median_window", "axis_degree", "mirror_tol", "closing_radius")
+        _require_fields(self, _require_int, "median_window", "axis_degree", mirror_tol=0, closing_radius=0)
+        _require_fields(self, _require_real, "sigma", "canny_low", "canny_high", "min_span_frac", "pixel_spacing")
+        if self.min_area is not None:
+            _require_fields(self, _require_real, min_area=1)
         _gaussian_radius(self.sigma)
         if self.median_window != 0 and (self.median_window < 3 or self.median_window % 2 == 0):
             raise ParameterError(f"median_window must be 0 or odd >= 3, got {self.median_window}")
@@ -88,12 +92,6 @@ class PipelineConfig:
             raise ParameterError(f"axis_degree must be 1 or 2, got {self.axis_degree}")
         if not (0.0 <= self.min_span_frac <= 1.0):
             raise ParameterError(f"min_span_frac must lie in [0, 1], got {self.min_span_frac}")
-        if self.mirror_tol < 0:
-            raise ParameterError(f"mirror_tol must be >= 0, got {self.mirror_tol}")
-        if self.closing_radius < 0:
-            raise ParameterError(f"closing_radius must be >= 0, got {self.closing_radius}")
-        if self.min_area is not None and self.min_area < 1:
-            raise ParameterError(f"min_area must be >= 1, got {self.min_area}")
         if not 0 < self.pixel_spacing < math.inf:
             raise ParameterError(f"pixel_spacing must be finite and > 0, got {self.pixel_spacing}")
 
@@ -128,16 +126,14 @@ def asymmetry_map(edges: EdgeMap, axis: SymmetryAxis, tol: int) -> np.ndarray:
     tol is clamped to max(height, width): the window then holds the
     pixel's whole row, so every mirror on the raster matches at dy = 0.
     """
-    if tol < 0:
-        raise ParameterError(f"tol must be >= 0, got {tol}")
     mask = edges.mask
     height, width = mask.shape
+    tol = min(_require_int("tol", tol, 0), max(height, width))
     unmatched = np.zeros((height, width), dtype=bool)
     flat = np.flatnonzero(mask)
     ys, xs = np.divmod(flat, width)
     mirror = round_half_away(reflect_x(axis, xs, ys)).astype(np.int64)
     in_bounds = (mirror >= 0) & (mirror < width)
-    tol = min(tol, max(height, width))
     pending = np.flatnonzero(in_bounds)
     rows = ys[pending]
     lo = np.maximum(mirror[pending] - tol, 0)
@@ -197,9 +193,7 @@ def close_mask(mask: np.ndarray, radius: int) -> np.ndarray:
     fits in the raster no longer changes beyond that, and the clamp
     bounds the padded frame.
     """
-    if radius < 0:
-        raise ParameterError(f"radius must be >= 0, got {radius}")
-    radius = min(radius, max(mask.shape))
+    radius = min(_require_int("radius", radius, 0), max(mask.shape))
     closed = np.zeros(mask.shape, dtype=bool)
     box = _bbox(mask)
     if box is None:
@@ -220,12 +214,10 @@ def connected_components(mask: np.ndarray, min_area: int) -> list[Region]:
     first pixels, as on the whole raster, and each one's pixels are
     listed in raster order.
     """
-    if min_area < 1:
-        raise ParameterError(f"min_area must be >= 1, got {min_area}")
     m = np.asarray(mask, dtype=bool)
     # no component outgrows the mask, so a larger floor keeps none either,
     # and the float areas compare with no int beyond the float range
-    min_area = min(min_area, m.size + 1)
+    min_area = min(_require_real("min_area", min_area, 1), m.size + 1)
     box = _bbox(m)
     if box is None:
         return []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NetpbmError, ParameterError
+from .errors import NetpbmError, ParameterError, _require_int
 
 
 def round_half_away(values):
@@ -380,7 +380,8 @@ def median_filter(img: GrayImage, window: int) -> GrayImage:
     return the exact median, so the path never changes the output. A
     window that pads the raster past any array size is a ParameterError.
     """
-    if window < 3 or window % 2 == 0:
+    window = _require_int("window", window, 3)
+    if window % 2 == 0:
         raise ParameterError(f"median window must be odd and >= 3, got {window}")
     h, w = img.pixels.shape
     if (h + window - 1) * (w + window - 1) > np.iinfo(np.intp).max:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _require_int, _require_ints
+from .errors import ParameterError, _require_fields, _require_int, _require_real
 from .imaging import GrayImage
 
 BACKGROUND = 20
@@ -54,6 +54,7 @@ class Lcg64:
         return self.state >> 33
 
     def uniform_int(self, lo: int, hi: int) -> int:
+        lo, hi = _require_int("lo", lo), _require_int("hi", hi)
         if hi < lo:
             raise ParameterError(f"uniform_int needs lo <= hi, got lo={lo} hi={hi}")
         return lo + self.next_bits() % (hi - lo + 1)
@@ -100,7 +101,9 @@ class LesionSpec:
     delta: int
 
     def __post_init__(self):
-        _require_ints(self, "center_dx", "center_y", "radius", "delta")
+        _require_fields(self, _require_int, "center_dx", "center_y", "delta", radius=1)
+        if self.delta == 0:
+            raise ParameterError(f"lesion delta must satisfy |delta| >= 1, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,21 @@ class PhantomSpec:
     lesion: LesionSpec | None = None
 
     def __post_init__(self):
-        _require_ints(self, "width", "height", "seed")
+        _require_fields(self, _require_int, "seed", "noise_amplitude", width=1, height=1)
+        _require_fields(self, _require_real, semi_axis_x=1, semi_axis_y=1)
+        if self.width * self.height > np.iinfo(np.intp).max:
+            raise ParameterError("raster has more pixels than an array can index")
+        # centre - semi-axis < 4, in integers: (size - 1) / 2 - a < 4
+        if self.width - 1 < 2 * self.semi_axis_x + 8 or self.height - 1 < 2 * self.semi_axis_y + 8:
+            raise ParameterError(
+                f"ellipse with semi-axes ({self.semi_axis_x}, {self.semi_axis_y}) does not fit "
+                f"a {self.width}x{self.height} raster with a 4 px margin"
+            )
+        if not (0 <= self.noise_amplitude <= 95):
+            raise ParameterError(
+                f"noise amplitude must lie in 0..95 so tissue stays in 8-bit range, "
+                f"got {self.noise_amplitude}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,36 +168,6 @@ def _lesion_disk(spec: PhantomSpec) -> tuple[tuple[slice, slice], np.ndarray]:
     return box, disk
 
 
-def _validate(spec: PhantomSpec) -> tuple[tuple[slice, slice], np.ndarray] | None:
-    """Check spec before any raster is allocated; returns the lesion's
-    checked (box, disk) from _lesion_disk, or None without a lesion."""
-    if spec.width < 1 or spec.height < 1:
-        raise ParameterError(f"raster must be at least 1x1, got {spec.width}x{spec.height}")
-    if spec.width * spec.height > np.iinfo(np.intp).max:
-        raise ParameterError("raster has more pixels than an array can index")
-    if spec.semi_axis_x < 1 or spec.semi_axis_y < 1:
-        raise ParameterError("ellipse semi-axes must be >= 1")
-    # centre - semi-axis < 4, in integers: (size - 1) / 2 - a < 4
-    if spec.width - 1 < 2 * spec.semi_axis_x + 8 or spec.height - 1 < 2 * spec.semi_axis_y + 8:
-        raise ParameterError(
-            f"ellipse with semi-axes ({spec.semi_axis_x}, {spec.semi_axis_y}) does not fit "
-            f"a {spec.width}x{spec.height} raster with a 4 px margin"
-        )
-    if not (0 <= spec.noise_amplitude <= 95):
-        raise ParameterError(
-            f"noise amplitude must lie in 0..95 so tissue stays in 8-bit range, "
-            f"got {spec.noise_amplitude}"
-        )
-    lesion = spec.lesion
-    if lesion is None:
-        return None
-    if lesion.radius < 1:
-        raise ParameterError(f"lesion radius must be >= 1, got {lesion.radius}")
-    if abs(lesion.delta) < 1:
-        raise ParameterError(f"lesion delta must satisfy |delta| >= 1, got {lesion.delta}")
-    return _lesion_disk(spec)
-
-
 def generate(spec: PhantomSpec) -> tuple[GrayImage, GroundTruth]:
     """Build the phantom and its ground truth, deterministically.
 
@@ -191,7 +178,7 @@ def generate(spec: PhantomSpec) -> tuple[GrayImage, GroundTruth]:
     the jump-ahead formula in the Lcg64 docstring, and equal the
     per-pixel Lcg64 loop exactly.
     """
-    lesion = _validate(spec)
+    lesion = None if spec.lesion is None else _lesion_disk(spec)
     w, h = spec.width, spec.height
     left_cols = (w + 1) // 2
     ys, xs = np.ogrid[0:h, 0:left_cols]

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from ._runs import label_mask, run_pixels
-from .errors import GeometryError, ParameterError, SingularSystemError
+from .errors import GeometryError, ParameterError, SingularSystemError, _require_int
 from .imaging import _BLOCK_ROWS, GrayImage, round_half_away
 
 
@@ -179,6 +179,7 @@ def fit_axis_lsm(samples: np.ndarray, degree: int) -> SymmetryAxis:
     problem at condition numbers near 1, and the coefficients are
     expanded back to the raw row basis exactly.
     """
+    degree = _require_int("degree", degree)
     if degree not in (1, 2):
         raise ParameterError(f"axis degree must be 1 or 2, got {degree}")
     ys, xs = _sample_columns(samples)

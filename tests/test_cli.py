@@ -327,6 +327,7 @@ BAD_CONFIG_FLAGS = {
     "sigma": (["--sigma", "-1"], dict(sigma=-1.0)),
     "median": (["--median-window", "4"], dict(median_window=4)),
     "canny": (["--canny-low", "0.5", "--canny-high", "0.4"], dict(canny_low=0.5, canny_high=0.4)),
+    "degree": (["--axis-degree", "3"], dict(axis_degree=3)),
 }
 
 

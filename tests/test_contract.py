@@ -1,20 +1,28 @@
 """The error contract, by property: any raster and valid configuration
-gives a result or a BrainsymError, and any byte string gives an image or
-a NetpbmError. Nothing else may escape, since the CLI maps exactly these
-errors to its exit codes."""
+gives a result or a BrainsymError, any field values build a spec or raise
+a ParameterError, and any byte string gives an image or a NetpbmError.
+Nothing else may escape, since the CLI maps exactly these errors to its
+exit codes."""
+
+import warnings
+from dataclasses import fields
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import arrays, from_dtype
 
 from brainsym import (
     BrainsymError,
     GrayImage,
+    LesionSpec,
     NetpbmError,
+    ParameterError,
+    PhantomSpec,
     PipelineConfig,
     RgbImage,
     detect_pipeline,
+    generate,
     load_netpbm,
     render_overlay,
 )
@@ -52,6 +60,65 @@ def test_pipeline_and_overlay_return_or_raise_brainsym_error(raw, config):
         return
     overlay = render_overlay(img, result)
     assert overlay.pixels.shape == raw.shape + (3,)
+
+
+_numpy_scalars = st.sampled_from(
+    [np.int8, np.uint8, np.int16, np.int64, np.uint64, np.float16, np.float32, np.float64]
+).flatmap(lambda t: from_dtype(np.dtype(t)).map(t))
+
+# what a caller might pass for any field
+field_values = st.one_of(
+    st.integers(-3, 70),
+    st.integers(),
+    st.integers(-10**400, 10**400),
+    st.floats(),
+    _numpy_scalars,
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _replaced(draw, base):
+    """base with some of its values replaced by drawn field values."""
+    names = draw(st.sets(st.sampled_from(sorted(base))))
+    return {**base, **{name: draw(field_values) for name in sorted(names)}}
+
+
+@st.composite
+def spec_kwargs(draw):
+    """Keyword arguments for a PipelineConfig, a LesionSpec (None for no
+    lesion) and a PhantomSpec: valid ones, on a raster of at most 64 x 64
+    pixels, with some values replaced."""
+    width, height = draw(st.integers(11, 64)), draw(st.integers(11, 64))
+    phantom = dict(width=width, height=height, seed=draw(st.integers(0, 2**64)),
+                   semi_axis_x=(width - 9) // 2, semi_axis_y=(height - 9) // 2,
+                   noise_amplitude=draw(st.integers(0, 95)))
+    lesion = dict(center_dx=0, center_y=(height - 1) // 2, radius=1, delta=60)
+    return (draw(_replaced({f.name: f.default for f in fields(PipelineConfig)})),
+            draw(st.none() | _replaced(lesion)), draw(_replaced(phantom)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_kwargs())
+def test_specs_build_or_raise_parameter_error(kwargs):
+    # generate runs only on built specs of at most 64 x 64 pixels
+    config, lesion, phantom = kwargs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            PipelineConfig(**config)
+        except ParameterError:
+            pass
+        try:
+            spec = PhantomSpec(**phantom, lesion=None if lesion is None else LesionSpec(**lesion))
+            if spec.width > 64 or spec.height > 64:
+                return
+            img, truth = generate(spec)
+        except ParameterError:
+            return
+    assert img.pixels.shape == truth.lesion_mask.shape == (spec.height, spec.width)
 
 
 _header_pieces = st.one_of(

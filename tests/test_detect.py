@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,9 +24,11 @@ from brainsym import (
     close_mask,
     connected_components,
     detect_pipeline,
+    fit_axis_lsm,
     fit_image_axis,
     generate,
     measure,
+    median_filter,
     preprocess,
     render_overlay,
 )
@@ -593,6 +597,60 @@ def test_config_numpy_integer_fields_run_as_python_ints(int_type):
     assert config == PipelineConfig()
     got, want = detect_pipeline(img, config), detect_pipeline(img)
     assert vars(got) == vars(want) and want.verdict == "found"
+
+
+def _integer_stages():
+    """Each public stage's integer parameter: a call taking its value, and
+    a value that a narrow numpy type wraps or overflows in on 300 x 300
+    inputs unless it is taken as a Python int."""
+    rng = np.random.default_rng(24)
+    edges = np.zeros((300, 300), dtype=bool)
+    edges.flat[rng.choice(edges.size, 197, replace=False)] = True
+    img = GrayImage(rng.integers(0, 256, (300, 300), dtype=np.uint8))
+    samples = np.column_stack((np.arange(300.0), 150.0 + 0.001 * (np.arange(300.0) - 140) ** 2))
+    return {
+        "tol": (lambda v: asymmetry_map(EdgeMap(edges), straight_axis(149.5), v).tobytes(), 200),
+        "radius": (lambda v: close_mask(edges, v).tobytes(), 200),
+        "window": (lambda v: median_filter(img, v).pixels.tobytes(), 3),
+        # the repr shows a numpy degree's type
+        "degree": (lambda v: repr(fit_axis_lsm(samples, v)), 2),
+    }
+
+
+INTEGER_STAGES = _integer_stages()
+
+
+@pytest.mark.parametrize("int_type", [np.uint8, np.int8, np.int64, np.uint64])
+@pytest.mark.parametrize("name", INTEGER_STAGES)
+def test_stage_integer_parameters_run_numpy_integers_as_python_ints(name, int_type):
+    run, value = INTEGER_STAGES[name]
+    value = min(value, int(np.iinfo(int_type).max))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(int_type(value)) == run(value)
+
+
+@pytest.mark.parametrize("value", [1.5, 3.0, float("nan"), "2", None], ids=repr)
+@pytest.mark.parametrize("name", INTEGER_STAGES)
+def test_stage_integer_parameters_reject_non_integers(name, value):
+    run, _ = INTEGER_STAGES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+            run(value)
+
+
+@pytest.mark.parametrize("name, make", [
+    ("min_area", lambda: PipelineConfig(min_area=float("nan"))),
+    ("min_area", lambda: connected_components(np.ones((4, 4), dtype=bool), float("nan"))),
+    ("semi_axis_x", lambda: PhantomSpec(semi_axis_x=float("nan"))),
+    ("semi_axis_y", lambda: PhantomSpec(semi_axis_y=float("nan"))),
+], ids=["config-min_area", "components-min_area", "semi_axis_x", "semi_axis_y"])
+def test_float_floors_reject_nan(name, make):
+    # a NaN floor used to pass every < comparison: a NaN min_area kept no
+    # region, and NaN semi-axes gave a phantom with no skull
+    with pytest.raises(ParameterError, match=f"^{name} must be >= 1, got nan"):
+        make()
 
 
 def test_render_overlay_palette():

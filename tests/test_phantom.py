@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,28 @@ def test_uniform_int_rejects_an_empty_range():
     assert rng.uniform_int(4, 4) == 4
 
 
+@pytest.mark.parametrize("int_type", [np.uint8, np.int8, np.int64, np.uint64])
+def test_uniform_int_takes_numpy_bounds_as_python_ints(int_type):
+    # the type's whole range: hi - lo + 1 used to wrap in the narrow type
+    lo, hi = int(np.iinfo(int_type).min), int(np.iinfo(int_type).max)
+    rng, ref = Lcg64(5), Lcg64(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = [rng.uniform_int(int_type(lo), int_type(hi)) for _ in range(8)]
+    assert draws == [ref.uniform_int(lo, hi) for _ in range(8)]
+    assert all(type(v) is int for v in draws)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 3), (0, 3.0), (None, 3), (0, "3"), (np.float64(0), 3)],
+                         ids=repr)
+def test_uniform_int_rejects_non_integer_bounds(lo, hi):
+    rng = Lcg64(5)
+    name = "hi" if isinstance(lo, int) else "lo"
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+        rng.uniform_int(lo, hi)
+    assert rng.state == 5  # no draw was made
+
+
 def test_symmetric_phantom_mirror_exact():
     img, truth = generate(PhantomSpec(seed=3))
     assert truth.axis_column == 128.0
@@ -119,32 +142,48 @@ def test_lesion_delta_clamped():
 @pytest.mark.parametrize(
     "spec",
     [
-        PhantomSpec(lesion=LesionSpec(40, 128, 0, 60)),           # radius 0
-        PhantomSpec(lesion=LesionSpec(40, 128, -2, 60)),
-        PhantomSpec(lesion=LesionSpec(40, 128, 10, 0)),           # delta 0
-        PhantomSpec(lesion=LesionSpec(120, 128, 10, 60)),         # pokes out of the ellipse
-        PhantomSpec(lesion=LesionSpec(0, 10, 10, 60)),            # pokes past the top
-        PhantomSpec(width=101, height=101),                       # default axes do not fit
-        PhantomSpec(noise_amplitude=96),
-        PhantomSpec(noise_amplitude=-1),
-        PhantomSpec(semi_axis_x=0),
+        lambda: PhantomSpec(lesion=LesionSpec(40, 128, 0, 60)),     # radius 0
+        lambda: PhantomSpec(lesion=LesionSpec(40, 128, -2, 60)),
+        lambda: PhantomSpec(lesion=LesionSpec(40, 128, 10, 0)),     # delta 0
+        lambda: PhantomSpec(lesion=LesionSpec(120, 128, 10, 60)),   # pokes out of the ellipse
+        lambda: PhantomSpec(lesion=LesionSpec(0, 10, 10, 60)),      # pokes past the top
+        lambda: PhantomSpec(width=101, height=101),                 # default axes do not fit
+        lambda: PhantomSpec(noise_amplitude=96),
+        lambda: PhantomSpec(noise_amplitude=-1),
+        lambda: PhantomSpec(semi_axis_x=0),
         # past float range: the margin check is made in integers
-        PhantomSpec(semi_axis_x=int("9" * 400)),
-        PhantomSpec(semi_axis_y=int("9" * 400)),
-        PhantomSpec(width=int("9" * 400)),
-        PhantomSpec(height=int("9" * 400)),
-        PhantomSpec(width=2**32, height=2**32),                   # more pixels than intp indexes
-        PhantomSpec(width=0),
-        PhantomSpec(height=0),
+        lambda: PhantomSpec(semi_axis_x=int("9" * 400)),
+        lambda: PhantomSpec(semi_axis_y=int("9" * 400)),
+        lambda: PhantomSpec(width=int("9" * 400)),
+        lambda: PhantomSpec(height=int("9" * 400)),
+        lambda: PhantomSpec(width=2**32, height=2**32),             # more pixels than intp indexes
+        lambda: PhantomSpec(width=0),
+        lambda: PhantomSpec(height=0),
         # even width: the disk's centre is a half-integer column and pixel
         # (x 8, y 10) of this disk lies outside the skull
-        PhantomSpec(width=40, height=41, seed=1, semi_axis_x=15, semi_axis_y=15,
-                    lesion=LesionSpec(-10, 11, 2, 60)),
+        lambda: PhantomSpec(width=40, height=41, seed=1, semi_axis_x=15, semi_axis_y=15,
+                            lesion=LesionSpec(-10, 11, 2, 60)),
     ],
+    ids=[f"spec{i}" for i in range(17)],  # the ids of the cases when they were built specs
 )
 def test_spec_validation(spec):
     with pytest.raises(ParameterError):
-        generate(spec)
+        generate(spec())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LesionSpec(40, 128, 0, 60),
+    lambda: LesionSpec(40, 128, 10, 0),
+    lambda: PhantomSpec(width=0),
+    lambda: PhantomSpec(width=2**32, height=2**32),
+    lambda: PhantomSpec(width=101, height=101),
+    lambda: PhantomSpec(semi_axis_x=0),
+    lambda: PhantomSpec(noise_amplitude=96),
+])
+def test_specs_are_checked_when_built(make):
+    # only the lesion disk's fit, which needs the whole geometry, waits for generate
+    with pytest.raises(ParameterError):
+        make()
 
 
 @pytest.mark.parametrize("field, make", [
@@ -204,10 +243,10 @@ def test_accepted_lesions_lie_inside_the_skull(width):
 
 
 @pytest.mark.parametrize("lesion", [
-    LesionSpec(120, 128, 10, 60),  # pokes out of the ellipse
-    LesionSpec(0, 10, 10, 60),     # pokes past the top
-    LesionSpec(0, 128, 10**12, 60),
-    LesionSpec(40, 128, 0, 60),
+    lambda: LesionSpec(120, 128, 10, 60),  # pokes out of the ellipse
+    lambda: LesionSpec(0, 10, 10, 60),     # pokes past the top
+    lambda: LesionSpec(0, 128, 10**12, 60),
+    lambda: LesionSpec(40, 128, 0, 60),
 ], ids=["outside-skull", "outside-raster", "huge", "radius-0"])
 def test_bad_lesion_is_rejected_before_any_noise_is_drawn(monkeypatch, lesion):
     def no_draws(seed, count):
@@ -215,7 +254,7 @@ def test_bad_lesion_is_rejected_before_any_noise_is_drawn(monkeypatch, lesion):
 
     monkeypatch.setattr(phantom, "_lcg_blocks", no_draws)
     with pytest.raises(ParameterError):
-        generate(PhantomSpec(lesion=lesion))
+        generate(PhantomSpec(lesion=lesion()))
 
 
 def test_generate_builds_the_lesion_disk_once(monkeypatch):
