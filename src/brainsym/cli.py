@@ -51,8 +51,16 @@ def _load_gray(path: str) -> GrayImage:
     return img
 
 
+def _given(spec_type, args: argparse.Namespace) -> dict:
+    """The parsed flags whose dest is a field of spec_type, less those
+    left at None (not given, and with no default), so the field's own
+    default applies."""
+    values = {f.name: getattr(args, f.name, None) for f in fields(spec_type)}
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
+    return PipelineConfig(**_given(PipelineConfig, args))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -167,27 +175,12 @@ def cmd_report(args: argparse.Namespace, config: PipelineConfig, img: GrayImage)
 
 
 def _phantom_spec_from_args(args: argparse.Namespace) -> PhantomSpec:
-    lesion = None
-    wants_lesion = args.lesion or any(
-        v is not None for v in (args.lesion_dx, args.lesion_y, args.lesion_radius, args.lesion_delta)
-    )
-    if wants_lesion:
-        center_y = args.lesion_y if args.lesion_y is not None else (args.height - 1) // 2
-        lesion = LesionSpec(
-            center_dx=args.lesion_dx if args.lesion_dx is not None else 40,
-            center_y=center_y,
-            radius=args.lesion_radius if args.lesion_radius is not None else 10,
-            delta=args.lesion_delta if args.lesion_delta is not None else 60,
-        )
-    return PhantomSpec(
-        width=args.width,
-        height=args.height,
-        seed=args.seed,
-        semi_axis_x=args.semi_x,
-        semi_axis_y=args.semi_y,
-        noise_amplitude=args.noise_amplitude,
-        lesion=lesion,
-    )
+    given, lesion = _given(LesionSpec, args), None
+    if args.default_lesion or given:
+        # any --lesion-* flag implies --lesion, whose geometry fills the rest
+        default = dict(center_dx=40, center_y=(args.height - 1) // 2, radius=10, delta=60)
+        lesion = LesionSpec(**(default | given))
+    return PhantomSpec(**_given(PhantomSpec, args), lesion=lesion)
 
 
 def cmd_phantom(args: argparse.Namespace) -> None:
@@ -249,14 +242,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_phantom.add_argument("--width", type=int, default=PhantomSpec.width)
     p_phantom.add_argument("--height", type=int, default=PhantomSpec.height)
     p_phantom.add_argument("--seed", type=int, default=PhantomSpec.seed)
-    p_phantom.add_argument("--semi-x", type=int, default=PhantomSpec.semi_axis_x, help="skull x semi-axis")
-    p_phantom.add_argument("--semi-y", type=int, default=PhantomSpec.semi_axis_y, help="skull y semi-axis")
+    # each dest below but --lesion's is the PhantomSpec or LesionSpec field it sets
+    p_phantom.add_argument("--semi-x", dest="semi_axis_x", type=int, default=PhantomSpec.semi_axis_x,
+                           help="skull x semi-axis")
+    p_phantom.add_argument("--semi-y", dest="semi_axis_y", type=int, default=PhantomSpec.semi_axis_y,
+                           help="skull y semi-axis")
     p_phantom.add_argument("--noise-amplitude", type=int, default=PhantomSpec.noise_amplitude)
-    p_phantom.add_argument("--lesion", action="store_true", help="inject a lesion with default geometry")
-    p_phantom.add_argument("--lesion-dx", type=int, default=None, help="lesion offset from the axis")
-    p_phantom.add_argument("--lesion-y", type=int, default=None, help="lesion center row")
-    p_phantom.add_argument("--lesion-radius", type=int, default=None)
-    p_phantom.add_argument("--lesion-delta", type=int, default=None, help="intensity offset vs tissue")
+    p_phantom.add_argument("--lesion", dest="default_lesion", action="store_true",
+                           help="inject a lesion with default geometry")
+    p_phantom.add_argument("--lesion-dx", dest="center_dx", type=int, help="lesion offset from the axis")
+    p_phantom.add_argument("--lesion-y", dest="center_y", type=int, help="lesion center row")
+    p_phantom.add_argument("--lesion-radius", dest="radius", type=int)
+    p_phantom.add_argument("--lesion-delta", dest="delta", type=int, help="intensity offset vs tissue")
     p_phantom.set_defaults(func=cmd_phantom)
 
     return parser

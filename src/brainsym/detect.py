@@ -253,6 +253,7 @@ def measure(regions: list[Region], pixel_spacing: float) -> tuple[int, float]:
     A total that is not finite (an overflowing or infinite spacing) is a
     ParameterError, so no report ever holds NaN or Infinity.
     """
+    pixel_spacing = _require_real("pixel_spacing", pixel_spacing)
     if not pixel_spacing > 0:
         raise ParameterError(f"pixel_spacing must be > 0, got {pixel_spacing}")
     total_px = sum(r.area_px for r in regions)

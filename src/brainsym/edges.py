@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._runs import label_mask
-from .errors import ParameterError
+from .errors import ParameterError, _require_real
 from .imaging import GrayImage, _block_rows, _smooth_blocks
 
 OPERATORS = ("sobel", "prewitt", "roberts")
@@ -213,6 +213,7 @@ def _candidates(s: np.ndarray, bound: float) -> np.ndarray:
 def _check_thresholds(low_frac: float, high_frac: float) -> None:
     """Canny's thresholds, as fractions of the largest gradient magnitude,
     must satisfy 0 < low < high < 1; PipelineConfig checks them here too."""
+    low_frac, high_frac = _require_real("low_frac", low_frac), _require_real("high_frac", high_frac)
     if not 0.0 < low_frac < high_frac < 1.0:
         raise ParameterError(
             f"canny thresholds must satisfy 0 < low < high < 1, "
@@ -352,6 +353,7 @@ def threshold_edges(field: GradientField, frac: float) -> EdgeMap:
 
     An all-zero field yields an empty map.
     """
+    frac = _require_real("frac", frac)
     if not (0.0 < frac <= 1.0):
         raise ParameterError(f"frac must satisfy 0 < frac <= 1, got {frac}")
     max_mag = float(field.magnitude.max())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NetpbmError, ParameterError, _require_int
+from .errors import NetpbmError, ParameterError, _require_int, _require_real
 
 
 def round_half_away(values):
@@ -176,6 +176,9 @@ def _gaussian_radius(sigma: float) -> int:
 
 
 def _gaussian_kernel_1d(sigma: float) -> np.ndarray:
+    # a Python float: in a float16 sigma of 200, 2 sigma**2 would overflow
+    # to inf and make every tap equal
+    sigma = _require_real("sigma", sigma)
     radius = _gaussian_radius(sigma)
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     # for sigma below about 5e-155 the off-centre exponents overflow to

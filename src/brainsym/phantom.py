@@ -119,6 +119,8 @@ class PhantomSpec:
     def __post_init__(self):
         _require_fields(self, _require_int, "seed", "noise_amplitude", width=1, height=1)
         _require_fields(self, _require_real, semi_axis_x=1, semi_axis_y=1)
+        if self.lesion is not None and not isinstance(self.lesion, LesionSpec):
+            raise ParameterError(f"lesion must be a LesionSpec or None, got {self.lesion!r}")
         if self.width * self.height > np.iinfo(np.intp).max:
             raise ParameterError("raster has more pixels than an array can index")
         # centre - semi-axis < 4, in integers: (size - 1) / 2 - a < 4

@@ -84,6 +84,7 @@ def row_midpoints(
     foreground are dropped too; the detection pipeline enables this to
     reject rows where the extent straddles disjoint lobes.
     """
+    min_span = _require_int("min_span", min_span)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape[1] == 0:      # argmax needs at least one column
         return np.empty((0, 2))

@@ -488,6 +488,35 @@ def test_phantom_bare_flags_give_default_spec():
     assert cli._phantom_spec_from_args(args) == PhantomSpec()
 
 
+# each phantom flag set, and the spec it must build, written out in full;
+# any one --lesion-* flag implies a lesion, whose other fields take
+# --lesion's defaults: dx 40, row (height - 1) // 2, radius 10, delta 60
+PHANTOM_SPECS = [
+    (["--lesion"],
+     PhantomSpec(257, 257, 1, 100, 120, 10, LesionSpec(40, 128, 10, 60))),
+    (["--lesion-dx", "-30"],
+     PhantomSpec(257, 257, 1, 100, 120, 10, LesionSpec(-30, 128, 10, 60))),
+    (["--lesion-y", "100"],
+     PhantomSpec(257, 257, 1, 100, 120, 10, LesionSpec(40, 100, 10, 60))),
+    (["--lesion-radius", "12"],
+     PhantomSpec(257, 257, 1, 100, 120, 10, LesionSpec(40, 128, 12, 60))),
+    (["--lesion-delta", "-50"],
+     PhantomSpec(257, 257, 1, 100, 120, 10, LesionSpec(40, 128, 10, -50))),
+    (["--lesion-dx", "35", "--lesion-y", "140", "--lesion-radius", "8", "--lesion-delta", "45"],
+     PhantomSpec(257, 257, 1, 100, 120, 10, LesionSpec(35, 140, 8, 45))),
+    (["--lesion", "--width", "301", "--height", "300"],
+     PhantomSpec(301, 300, 1, 100, 120, 10, LesionSpec(40, 149, 10, 60))),
+    (["--semi-x", "90", "--semi-y", "110", "--seed", "3", "--noise-amplitude", "7"],
+     PhantomSpec(257, 257, 3, 90, 110, 7, None)),
+]
+
+
+@pytest.mark.parametrize("argv, spec", PHANTOM_SPECS, ids=[" ".join(a) for a, _ in PHANTOM_SPECS])
+def test_phantom_flags_build_pinned_specs(argv, spec):
+    args = build_parser().parse_args(["phantom", "-o", "x.pgm", *argv])
+    assert cli._phantom_spec_from_args(args) == spec
+
+
 def test_phantom_unwritable_output_exit_4(tmp_path):
     proc = run_cli("phantom", "-o", tmp_path / "nodir" / "x.pgm")
     assert proc.returncode == 4

@@ -88,16 +88,19 @@ def _replaced(draw, base):
 
 @st.composite
 def spec_kwargs(draw):
-    """Keyword arguments for a PipelineConfig, a LesionSpec (None for no
-    lesion) and a PhantomSpec: valid ones, on a raster of at most 64 x 64
-    pixels, with some values replaced."""
+    """Keyword arguments for a PipelineConfig, a LesionSpec and a
+    PhantomSpec: valid ones, on a raster of at most 64 x 64 pixels, with
+    some values replaced. Half of the time the lesion is not keyword
+    arguments but any field value, None among them, passed as the lesion
+    itself."""
     width, height = draw(st.integers(11, 64)), draw(st.integers(11, 64))
     phantom = dict(width=width, height=height, seed=draw(st.integers(0, 2**64)),
                    semi_axis_x=(width - 9) // 2, semi_axis_y=(height - 9) // 2,
                    noise_amplitude=draw(st.integers(0, 95)))
     lesion = dict(center_dx=0, center_y=(height - 1) // 2, radius=1, delta=60)
+    lesion = draw(_replaced(lesion)) if draw(st.booleans()) else draw(field_values)
     return (draw(_replaced({f.name: f.default for f in fields(PipelineConfig)})),
-            draw(st.none() | _replaced(lesion)), draw(_replaced(phantom)))
+            lesion, draw(_replaced(phantom)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -112,7 +115,9 @@ def test_specs_build_or_raise_parameter_error(kwargs):
         except ParameterError:
             pass
         try:
-            spec = PhantomSpec(**phantom, lesion=None if lesion is None else LesionSpec(**lesion))
+            if isinstance(lesion, dict):
+                lesion = LesionSpec(**lesion)
+            spec = PhantomSpec(**phantom, lesion=lesion)
             if spec.width > 64 or spec.height > 64:
                 return
             img, truth = generate(spec)

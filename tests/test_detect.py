@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -26,11 +27,17 @@ from brainsym import (
     detect_pipeline,
     fit_axis_lsm,
     fit_image_axis,
+    gaussian_kernel,
+    gaussian_smooth,
     generate,
+    gradient,
     measure,
     median_filter,
     preprocess,
     render_overlay,
+    row_midpoints,
+    smooth_raster,
+    threshold_edges,
 )
 from brainsym._runs import label_mask, run_pixels
 
@@ -638,6 +645,48 @@ def test_stage_integer_parameters_reject_non_integers(name, value):
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
             run(value)
+
+
+def _real_stages():
+    """Each public stage's real parameter, and row_midpoints' integer
+    min_span: a call taking its value, keyed by the stage and by the name
+    its error message gives the parameter."""
+    img = GrayImage(np.random.default_rng(25).integers(0, 256, (40, 40), dtype=np.uint8))
+    mask = np.zeros((40, 40), dtype=bool)
+    mask[5:35, 8:30] = True
+    return {
+        ("gaussian_smooth", "sigma"): lambda v: gaussian_smooth(img, v),
+        ("smooth_raster", "sigma"): lambda v: smooth_raster(img.pixels, v),
+        ("canny", "sigma"): lambda v: canny(img, v, 0.1, 0.2),
+        ("gaussian_kernel", "sigma"): gaussian_kernel,
+        # the range message names canny's thresholds low and high
+        ("canny", "low"): lambda v: canny(img, 1.0, v, 0.2),
+        ("canny", "high"): lambda v: canny(img, 1.0, 0.1, v),
+        ("threshold_edges", "frac"): lambda v: threshold_edges(gradient(img, "sobel"), v),
+        ("measure", "pixel_spacing"): lambda v: measure([], v),
+        ("row_midpoints", "min_span"): lambda v: row_midpoints(mask, v),
+    }
+
+
+REAL_STAGES = _real_stages()
+
+
+@pytest.mark.parametrize("value", ["2", None, float("nan")], ids=repr)
+@pytest.mark.parametrize("stage", REAL_STAGES, ids="-".join)
+def test_stage_real_parameters_reject_non_reals(stage, value):
+    run, name = REAL_STAGES[stage], stage[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=f"{name}.*{re.escape(repr(value))}"):
+            run(value)
+
+
+@pytest.mark.parametrize("sigma", [np.float16(200.0), np.float32(1.3)], ids=repr)
+def test_numpy_float_sigma_smooths_as_the_python_float(sigma):
+    # 2 sigma**2 in a float16 sigma of 200 overflows, which gave a flat kernel
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(gaussian_kernel(sigma), gaussian_kernel(float(sigma)))
 
 
 @pytest.mark.parametrize("name, make", [
