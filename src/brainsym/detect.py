@@ -23,6 +23,7 @@ from .imaging import (
     GrayImage,
     RgbImage,
     _gaussian_radius,
+    _pads_past_any_array,
     contrast_stretch,
     gaussian_smooth,
     median_filter,
@@ -272,7 +273,25 @@ def _stage(name: str, fn, *args):
 
 
 def preprocess(img: GrayImage, config: PipelineConfig) -> GrayImage:
-    """Smooth, optionally median-filter, optionally contrast-stretch."""
+    """Smooth, optionally median-filter, optionally contrast-stretch.
+
+    Neither filter may reach farther than max(height, width, 512) // 16
+    pixels: a sixteenth of the larger side, and 32 up to a 527 px side.
+    The smoothing reaches ceil(3 sigma), the median median_window // 2;
+    past the limit, a ParameterError is raised before any stage runs,
+    since the smoothing's reflect pad and the median's O(8 N window²)
+    rank select grow with the reach, whatever the raster. A window that
+    pads the raster past any array size is left to the median stage,
+    whose error names it.
+    """
+    limit = max(*img.pixels.shape, 512) // 16
+    reaches = {"sigma": _gaussian_radius(config.sigma)}
+    if not _pads_past_any_array(img.pixels.shape, config.median_window):
+        reaches["median_window"] = config.median_window // 2
+    for name, reach in reaches.items():
+        if reach > limit:
+            raise ParameterError(f"{name} {getattr(config, name)} reaches {reach} px, past the "
+                                 f"{limit} px limit of a {img.width}x{img.height} raster")
     work = _stage("smooth", gaussian_smooth, img, config.sigma)
     if config.median_window:
         work = _stage("median", median_filter, work, config.median_window)

@@ -158,10 +158,14 @@ def save_netpbm(image: GrayImage | RgbImage, path) -> None:
 # color conversion and preprocessing filters
 
 def rgb_to_gray(img: RgbImage) -> GrayImage:
-    """BT.601 luma: gray = round(0.299 r + 0.587 g + 0.114 b)."""
+    """BT.601 luma: gray = round(0.299 r + 0.587 g + 0.114 b), halves up.
+
+    gray + 0.5 lies in [0.5, 256) and the uint8 cast truncates it, so the
+    cast is its floor: round_half_away, since gray is never negative.
+    """
     p = img.pixels.astype(np.float64)
     gray = 0.299 * p[:, :, 0] + 0.587 * p[:, :, 1] + 0.114 * p[:, :, 2]
-    return GrayImage(round_half_away(gray).astype(np.uint8))
+    return GrayImage((gray + 0.5).astype(np.uint8))
 
 
 def _gaussian_radius(sigma: float) -> int:
@@ -305,13 +309,14 @@ def gaussian_smooth(img: GrayImage, sigma: float) -> GrayImage:
     """Gaussian blur with kernel radius ceil(3 sigma); result re-quantized.
 
     The values of smooth_raster, in the same row blocks, each rounded as
-    floor(v + 0.5) straight into the uint8 output. That is round_half_away,
-    since every smoothed value of an 8-bit image is >= 0.
+    floor(v + 0.5) straight into the uint8 output. A smoothed 8-bit value
+    plus 0.5 lies in [0.5, 256) and is never NaN, so the assignment's
+    truncating cast is that floor, and it is round_half_away, since every
+    smoothed value of an 8-bit image is >= 0.
     """
     out = np.empty(img.pixels.shape, dtype=np.uint8)
     for y0, y1, block in _smooth_blocks(img.pixels, sigma):
         block += 0.5
-        np.floor(block, out=block)
         out[y0:y1] = block[:, :out.shape[1]]
     return GrayImage(out)
 
@@ -374,6 +379,12 @@ def _median_rank_select(padded: np.ndarray, window: int) -> np.ndarray:
     return med
 
 
+def _pads_past_any_array(shape: tuple[int, int], window: int) -> bool:
+    """Whether a raster of this shape, padded by window // 2 on each side,
+    has more pixels than any array can index."""
+    return (shape[0] + window - 1) * (shape[1] + window - 1) > np.iinfo(np.intp).max
+
+
 def median_filter(img: GrayImage, window: int) -> GrayImage:
     """Exact window x window median, reflected borders; window odd and >= 3.
 
@@ -386,8 +397,7 @@ def median_filter(img: GrayImage, window: int) -> GrayImage:
     window = _require_int("window", window, 3)
     if window % 2 == 0:
         raise ParameterError(f"median window must be odd and >= 3, got {window}")
-    h, w = img.pixels.shape
-    if (h + window - 1) * (w + window - 1) > np.iinfo(np.intp).max:
+    if _pads_past_any_array(img.pixels.shape, window):
         raise ParameterError(f"median window {window} pads the raster past any array size")
     padded = np.pad(img.pixels, window // 2, mode="reflect")
     if window == 3:

@@ -369,6 +369,117 @@ def brute_fill_holes(mask):
     return ~np.array(outside, dtype=bool)
 
 
+def otsu_one_call(pixels):
+    """brain_mask's Otsu threshold, from one np.bincount over the raster:
+    the t in 1..255 that maximizes the between-class variance of the
+    split {v < t} / {v >= t}, the smallest of equal maxima. A raster no t
+    splits (every product 0) raises the GeometryError brain_mask raises."""
+    from brainsym import GeometryError
+
+    hist = np.bincount(pixels.ravel(), minlength=256).astype(np.float64)
+    cum_n, cum_s = np.cumsum(hist), np.cumsum(hist * np.arange(256.0))
+    n0, s0 = cum_n[:255], cum_s[:255]
+    n1 = pixels.size - n0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        between = n0 * n1 * (s0 / n0 - (cum_s[255] - s0) / n1) ** 2
+    between[(n0 == 0) | (n1 == 0)] = 0.0
+    if between.max() <= 0.0:
+        raise GeometryError("no foreground separable")
+    return 1 + int(np.argmax(between))
+
+
+def brute_contrast(pixels):
+    """The min-max stretch onto [0, 255], one value at a time: v becomes
+    round((v - lo) * 255.0 / (hi - lo)), halves up (every value is >= 0),
+    for lo and hi the raster's least and largest values; a flat raster is
+    returned unchanged."""
+    raw = np.asarray(pixels)
+    lo, hi = int(raw.min()), int(raw.max())
+    if hi == lo:
+        return raw.copy()
+    return np.array([[math.floor((v - lo) * 255.0 / (hi - lo) + 0.5) for v in row]
+                     for row in raw.tolist()], dtype=np.uint8)
+
+
+def largest_blob(mask):
+    """The largest 8-connected component of a non-empty mask as a bool
+    raster; of equal largest ones, the first in raster order."""
+    out = np.zeros(np.shape(mask), dtype=bool)
+    for x, y in max(flood_fill_components(mask), key=len):
+        out[y, x] = True
+    return out
+
+
+def brute_detect(pixels, config):
+    """detect_pipeline(GrayImage(pixels), config) composed from the oracles
+    in README's order, as a dict of the axis coefficients, the regions'
+    pixel sets (in the result's order: area descending, then ymin, then
+    xmin), their areas, the total area in pixels and mm², the verdict and
+    the edge count:
+
+    1. brute_smooth rounded half away from zero, then brute_median when
+       median_window is not 0, then brute_contrast when contrast is on;
+    2. brute_canny on that image;
+    3. otsu_one_call's mask, less all but its largest 8-connected blob,
+       then brute_row_midpoints with min_span = max(1, round(min_span_frac
+       * width)) and the midpoint on the mask, fitted by fit_axis_lsm;
+    4. brute_asymmetry, then brute_close, then flood_fill_components,
+       keeping components of at least min_area pixels (ceil(w h / 2621)
+       when min_area is None);
+    5. the total area times pixel_spacing², which must be finite; found
+       when some region is kept.
+
+    A stage that fails raises PipelineError naming it, as detect_pipeline
+    does. Four package functions enter, each pinned on its own: the
+    Gaussian taps _gaussian_kernel_1d (against gaussian_kernel_oracle),
+    smooth_raster and gradient_raster inside brute_canny, and
+    fit_axis_lsm. The axis is the one float that two exact methods can
+    round differently, and acceptance criterion 04 pins its Cramer solve
+    against gauss_eliminate, so the fit is taken as it is.
+    """
+    from brainsym import BrainsymError, GeometryError, PipelineError, fit_axis_lsm
+    from brainsym.imaging import _gaussian_kernel_1d
+
+    raw = np.asarray(pixels, dtype=np.uint8)
+    height, width = raw.shape
+    smoothed = brute_smooth(raw, _gaussian_kernel_1d(config.sigma))
+    pre = np.array([[round_half_away_scalar(v) for v in row] for row in smoothed.tolist()],
+                   dtype=np.uint8)
+    if config.median_window:
+        pre = brute_median(pre, config.median_window)
+    if config.contrast:
+        pre = brute_contrast(pre)
+    edges = brute_canny(pre, config.sigma, config.canny_low, config.canny_high)
+    try:
+        mask = largest_blob(pre >= otsu_one_call(pre))
+    except GeometryError as exc:
+        raise PipelineError("brain_mask", str(exc)) from exc
+    min_span = max(1, int(round_half_away_scalar(config.min_span_frac * width)))
+    samples = np.array(brute_row_midpoints(mask, min_span, True), dtype=np.float64).reshape(-1, 2)
+    try:
+        axis = fit_axis_lsm(samples, config.axis_degree)
+    except BrainsymError as exc:
+        raise PipelineError("fit_axis", str(exc)) from exc
+    unmatched = brute_asymmetry(edges, axis, config.mirror_tol).astype(bool)
+    closed = brute_close(unmatched, config.closing_radius)
+    min_area = config.min_area if config.min_area is not None else math.ceil(width * height / 2621)
+    kept = [c for c in flood_fill_components(closed) if len(c) >= min_area]
+    kept.sort(key=lambda c: (-len(c), min(y for _, y in c), min(x for x, _ in c)))
+    total_px = sum(len(c) for c in kept)
+    total_mm2 = total_px * config.pixel_spacing * config.pixel_spacing
+    if not math.isfinite(total_mm2):
+        raise PipelineError("measure", f"total area of {total_px} px is not finite in mm²")
+    return {
+        "coeffs": axis.coeffs,
+        "regions": [frozenset(c) for c in kept],
+        "areas": [len(c) for c in kept],
+        "total_area_px": total_px,
+        "total_area_mm2": total_mm2,
+        "verdict": "found" if kept else "not-found",
+        "edge_count": int(edges.sum()),
+    }
+
+
 def reaches_strong(mask, strong, start):
     """BFS within mask from start; True if some strong pixel is reachable."""
     m = np.asarray(mask, dtype=bool)

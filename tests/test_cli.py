@@ -297,12 +297,30 @@ def test_detect_bad_sigma_exit_2(phantom_paths, tmp_path):
 
 @pytest.mark.parametrize("sigma", ["1e18", "1e300", "1e308"])
 def test_detect_kernel_too_large_for_an_array_exit_2(phantom_paths, tmp_path, capsys, sigma):
-    # 1e17 still passes this check: its 4 EiB kernel fails to allocate, exit 3
+    # 1e17 still passes this check, and then preprocess's reach limit rejects it, exit 2
     outdir = tmp_path / "out"
     assert cli.main(["detect", str(phantom_paths["plain"]), "-d", str(outdir), "--sigma", sigma]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not outdir.exists()
+
+
+# a filter's reach, ceil(3 sigma) or window // 2, is limited to 32 px on a
+# 257 x 257 input: the first value of each pair is at the limit, the
+# others are past it
+@pytest.mark.parametrize("flag, values", [("--sigma", ["10.6", "10.7", "10000"]),
+                                          ("--median-window", ["65", "67", "10001"])])
+def test_detect_filter_reach_limit(phantom_paths, tmp_path, capsys, flag, values):
+    at, *past = values
+    assert cli.main(["detect", str(phantom_paths["lesioned"]), "-d", str(tmp_path / at), flag, at]) == 0
+    capsys.readouterr()
+    for value in past:
+        outdir = tmp_path / value
+        assert cli.main(["detect", str(phantom_paths["lesioned"]), "-d", str(outdir), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.endswith(" px limit of a 257x257 raster\n") and "past the 32 px" in err, err
+        assert not outdir.exists()
 
 
 def test_detect_tiny_sigma_is_the_limit_kernel(phantom_paths, tmp_path):

@@ -24,6 +24,7 @@ from brainsym import (
     canny,
     close_mask,
     connected_components,
+    contrast_stretch,
     detect_pipeline,
     fit_axis_lsm,
     fit_image_axis,
@@ -727,6 +728,38 @@ def test_render_overlay_rejects_other_shapes(height, width):
 
 
 # ---------------------------------------------------------------------------
+# preprocess bounds each filter's reach, ceil(3 sigma) and median_window //
+# 2, by max(height, width, 512) // 16 pixels
+
+@pytest.mark.parametrize("shape, limit", [((257, 257), 32), ((40, 600), 37), ((9, 5), 32)])
+def test_preprocess_runs_filters_that_reach_the_limit(shape, limit):
+    raw = np.random.default_rng(list(shape)).integers(0, 256, size=shape, dtype=np.uint8)
+    img = GrayImage(raw)
+    for sigma, window in (((limit - 0.5) / 3, 3), (1.0, 2 * limit + 1)):
+        want = contrast_stretch(median_filter(gaussian_smooth(img, sigma), window))
+        got = preprocess(img, PipelineConfig(sigma=sigma, median_window=window))
+        assert np.array_equal(got.pixels, want.pixels), (sigma, window)
+
+
+@pytest.mark.parametrize("shape, limit", [((257, 257), 32), ((40, 600), 37), ((9, 5), 32)])
+@pytest.mark.parametrize("field", ["sigma", "median_window"])
+def test_preprocess_rejects_filters_past_the_limit(shape, limit, field, monkeypatch):
+    img = GrayImage(np.zeros(shape, dtype=np.uint8))
+    value = {"sigma": (limit + 0.5) / 3, "median_window": 2 * limit + 3}[field]
+    config = PipelineConfig(**{field: value})
+
+    def no_stage(*args):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr("brainsym.detect._stage", no_stage)
+    message = f"{field} {value} reaches {limit + 1} px, past the {limit} px limit of a {shape[1]}x{shape[0]} raster"
+    for run in (preprocess, detect_pipeline):
+        with pytest.raises(ParameterError) as raised:
+            run(img, config)
+        assert str(raised.value) == message
+
+
+# ---------------------------------------------------------------------------
 # flipping the input left-right mirrors the result: the Canny mask, the
 # region pixel sets (x -> w - 1 - x), their areas and the verdict; healthy
 # phantoms give not-found, noisy ones too
@@ -777,13 +810,10 @@ def test_flip_mirrors_edges_and_regions(config, noisy, seeds):
 # healthy phantoms that are not mirror-exact, stressed as the benchmark's
 # 1025^2 inputs are, must not give found
 
-def _stressed_healthy(index):
-    """A healthy 257 x 257 phantom drawn from default_rng([1901, index]),
-    rotated by up to 3 degrees about its centre, shifted half a pixel
-    sideways, times a 10% (peak to peak) linear bias field, plus +-8
-    integer noise, rounded and clipped to [0, 255]."""
-    rng = np.random.default_rng([1901, index])
-    img, _ = generate(PhantomSpec(seed=int(rng.integers(1, 2**31))))
+def stressed(img, rng):
+    """img rotated by up to 3 degrees about its centre, shifted half a
+    pixel sideways, times a 10% (peak to peak) linear bias field, plus +-8
+    integer noise, rounded and clipped to [0, 255], each drawn from rng."""
     h, w = img.pixels.shape
     angle = np.radians(rng.uniform(-3.0, 3.0))
     rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
@@ -798,6 +828,14 @@ def _stressed_healthy(index):
     moved *= 1.0 + 0.10 * ramp / (abs(c) + abs(s))
     moved += rng.integers(-8, 9, size=(h, w))
     return GrayImage(np.clip(np.floor(moved + 0.5), 0, 255).astype(np.uint8))
+
+
+def _stressed_healthy(index):
+    """A healthy 257 x 257 phantom drawn from default_rng([1901, index]),
+    stressed by stressed()."""
+    rng = np.random.default_rng([1901, index])
+    img, _ = generate(PhantomSpec(seed=int(rng.integers(1, 2**31))))
+    return stressed(img, rng)
 
 
 @pytest.mark.parametrize("config", [PipelineConfig(), STRESS_CONFIG], ids=["default", "stress"])

@@ -27,6 +27,7 @@ from brainsym import (
 from brainsym.imaging import _block_rows, _gaussian_kernel_1d, _median_rank_select
 
 from oracles import (
+    brute_contrast,
     brute_median,
     brute_smooth,
     gaussian_kernel_oracle,
@@ -529,9 +530,7 @@ def test_contrast_flat_unchanged():
 @pytest.mark.parametrize("h", [127, 128, 129, 257])  # around its 128-row blocks
 def test_contrast_matches_formula_across_row_blocks(h):
     raw = np.random.default_rng(h).integers(20, 230, size=(h, 5), dtype=np.uint8)
-    lo, hi = int(raw.min()), int(raw.max())
-    want = round_half_away((raw.astype(np.float64) - lo) * 255.0 / (hi - lo))
-    assert np.array_equal(contrast_stretch(GrayImage(raw)).pixels, want)
+    assert np.array_equal(contrast_stretch(GrayImage(raw)).pixels, brute_contrast(raw))
 
 
 def test_contrast_memory_at_513():

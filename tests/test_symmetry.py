@@ -23,7 +23,8 @@ from brainsym import (
 )
 from brainsym.symmetry import _det, _normal_equations
 
-from oracles import brute_row_midpoints, flood_fill_components, gauss_eliminate, textbook_det
+from oracles import (brute_row_midpoints, flood_fill_components, gauss_eliminate, largest_blob,
+                     otsu_one_call, textbook_det)
 
 
 def disk_image(size=64, center=(32, 32), radius=15, fg=200, bg=20):
@@ -82,28 +83,12 @@ def test_brain_mask_keeps_raster_first_of_equal_largest_blobs(blobs, kept):
     assert np.array_equal(labels == np.argmax(sizes), want)
 
 
-def _otsu_one_call(pixels):
-    """brain_mask's Otsu threshold, from one np.bincount over the raster."""
-    hist = np.bincount(pixels.ravel(), minlength=256).astype(np.float64)
-    cum_n, cum_s = np.cumsum(hist), np.cumsum(hist * np.arange(256.0))
-    n0, s0 = cum_n[:255], cum_s[:255]
-    n1 = pixels.size - n0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        between = n0 * n1 * (s0 / n0 - (cum_s[255] - s0) / n1) ** 2
-    between[(n0 == 0) | (n1 == 0)] = 0.0
-    return 1 + int(np.argmax(between))
-
-
 @pytest.mark.parametrize("h", [127, 128, 129, 257])  # around its 128-row blocks
 def test_brain_mask_matches_one_histogram_across_row_blocks(h):
     rng = np.random.default_rng(h)
     for _ in range(10):
         px = rng.integers(0, 256, size=(h, 3)).astype(np.uint8)
-        blobs = flood_fill_components(px >= _otsu_one_call(px))
-        want = np.zeros(px.shape, dtype=bool)
-        for x, y in max(blobs, key=len):
-            want[y, x] = True
-        assert np.array_equal(brain_mask(GrayImage(px)), want)
+        assert np.array_equal(brain_mask(GrayImage(px)), largest_blob(px >= otsu_one_call(px)))
 
 
 def _brain_mask_peak(img):
