@@ -415,9 +415,6 @@ def contrast_stretch(img: GrayImage) -> GrayImage:
     stretched = round_half_away((levels - lo) * 255.0 / (hi - lo))
     # entries outside [lo, hi] are never indexed; clip keeps the cast safe
     lut = np.clip(stretched, 0, 255).astype(np.uint8)
-    # take() copies its indices to intp, so it gets one block of rows at a time
-    out = np.empty(img.pixels.shape, dtype=np.uint8)
-    for y0 in range(0, img.height, _BLOCK_ROWS):
-        rows = slice(y0, y0 + _BLOCK_ROWS)
-        lut.take(img.pixels[rows], out=out[rows])
-    return GrayImage(out)
+    # a byte table takes the bytes as they are; the bytearray keeps the output writable
+    out = np.frombuffer(bytearray(img.pixels).translate(lut.tobytes()), dtype=np.uint8)
+    return GrayImage(out.reshape(img.pixels.shape))
