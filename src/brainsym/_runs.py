@@ -1,8 +1,10 @@
-"""8-connected components of bool rasters, labeled from their row runs.
+"""8- or 4-connected components of bool rasters, labeled from their row
+runs.
 
 brain_mask (the Otsu mask), canny (the weak pixels) and
 connected_components (the closed mask) call label_mask on a bool raster,
-and run_pixels where they need the pixels of some runs; the frame below
+and close_mask on its background, 4-connected, to find the holes; each
+calls run_pixels where it needs the pixels of some runs. The frame below
 is private to this module, and callers pass only the raster's width.
 
 A run is a maximal stretch of set pixels in one row. Runs are held as
@@ -10,11 +12,12 @@ flat [start, end) indices in a frame one column wider than the raster
 (stride w + 1) whose extra column is never set, so no run crosses a row
 end, and are numbered in raster order. A run with columns [a, b) on row
 r and one with [c, d) on row r + 1 are 8-connected exactly when a <= d
-and c <= b; in the frame that is start <= end' - stride and end >=
-start' - stride, and no run of another row passes both tests. So the
-runs that run j touches on the row above are one span lo[j] .. lo[j] +
-above[j] - 1 of the run numbers, found by two binary searches
-(run-based labeling, as in He, Chao and Suzuki 2008).
+and c <= b, and 4-connected exactly when a < d and c < b; in the frame
+that is start <= end' - stride and end >= start' - stride (strictly for
+4), and no run of another row passes both tests. So the runs that run j
+touches on the row above are one span lo[j] .. lo[j] + above[j] - 1 of
+the run numbers, found by two binary searches, whose sides the
+connectivity sets (run-based labeling, as in He, Chao and Suzuki 2008).
 
 _label_runs first joins the runs of each span into one group, by a
 difference array: the marks lo[j] .. lo[j] + above[j] - 2 of different
@@ -67,13 +70,13 @@ def _mask_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bounds[0::2].astype(kind), bounds[1::2].astype(kind)
 
 
-def _label_runs(starts: np.ndarray, ends: np.ndarray, stride: int) -> np.ndarray:
+def _label_runs(starts: np.ndarray, ends: np.ndarray, stride: int, four: bool) -> np.ndarray:
     """For each run, the number of the first run, in raster order, of its
-    8-connected component."""
+    8-connected (4-connected if four) component."""
     n, kind = starts.size, starts.dtype
     # run j touches runs lo[j] .. lo[j] + above[j] - 1 on the row above
-    lo = np.searchsorted(ends, starts - stride).astype(kind)
-    above = np.searchsorted(starts, ends - stride, "right").astype(kind)
+    lo = np.searchsorted(ends, starts - stride, "right" if four else "left").astype(kind)
+    above = np.searchsorted(starts, ends - stride, "left" if four else "right").astype(kind)
     above -= lo
     wide = above > 1
     step = np.zeros(n, dtype=np.int8)
@@ -116,12 +119,13 @@ def _label_runs(starts: np.ndarray, ends: np.ndarray, stride: int) -> np.ndarray
     return np.flatnonzero(opens).astype(kind)[root][group]
 
 
-def label_mask(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def label_mask(mask: np.ndarray, four: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The runs of a 2-D bool mask, in raster order, as (starts, lengths,
     first): first holds, for each run, the number of the first run of its
-    8-connected component. The starts are only for run_pixels."""
+    8-connected (4-connected if four) component. The starts are only for
+    run_pixels."""
     starts, ends = _mask_runs(mask)
-    first = _label_runs(starts, ends, mask.shape[1] + 1)
+    first = _label_runs(starts, ends, mask.shape[1] + 1, four)
     # taken after the labeling, whose peak would otherwise hold them too
     ends -= starts
     return starts, ends, first

@@ -178,21 +178,30 @@ def _spread(a: np.ndarray, radius: int, op) -> np.ndarray:
 def close_mask(mask: np.ndarray, radius: int) -> np.ndarray:
     """Morphological closing of a bool mask with a (2 radius + 1)^2 square
     element, as on an unbounded plane, so border blobs close as they
-    would away from the border; radius 0 returns a copy.
+    would away from the border, with its holes filled: a lesion's closed
+    edge ring comes out as the lesion. Radius 0 fills the mask's holes.
 
-    Only the mask's bounding box is filtered, padded by radius with
+    Only the mask's bounding box is filtered, padded by radius + 1 with
     False, and written into a zeroed raster. That is exact: a pixel
     outside the box lies on the far edge of some square that misses the
     box, so it is never closed; a pixel inside reads the dilation within
-    the box +- radius, which is the padded frame, and the mask is empty
+    the box +- radius, inside the padded frame, and the mask is empty
     outside the box. The dilation is an OR and the erosion an AND over
     every window, by _spread. The False it reads beyond the frame is
     exact for the dilation: while a window's half-width k is below the
     radius, a window centred beyond the frame covers only padding. The
-    erosion's windows around box pixels never leave the frame. The
-    radius is clamped to max(height, width): the closing of a mask that
-    fits in the raster no longer changes beyond that, and the clamp
-    bounds the padded frame.
+    erosion's windows around box pixels never leave the frame, and
+    outside the box it can only clear what is never closed, so the
+    frame's edge stays False. The radius is clamped to max(height,
+    width): the closing of a mask that fits in the raster no longer
+    changes beyond that, and the clamp bounds the padded frame.
+
+    A hole is a pixel the 4-connected background cannot reach from the
+    raster's border (Soille, Morphological Image Analysis, 2003, hole
+    filling by reconstruction from the border). Every background pixel
+    off the box reaches the border in a straight line, so the holes are
+    the frame's background components that miss its False edge, whose
+    first run, run 0, holds the outside.
     """
     radius = min(_require_int("radius", radius, 0), max(mask.shape))
     closed = np.zeros(mask.shape, dtype=bool)
@@ -200,9 +209,13 @@ def close_mask(mask: np.ndarray, radius: int) -> np.ndarray:
     if box is None:
         return closed
     y0, y1, x0, x1 = box
-    work = np.pad(mask[y0:y1, x0:x1], radius, mode="constant", constant_values=False)
+    pad = radius + 1
+    work = np.pad(mask[y0:y1, x0:x1], pad, mode="constant", constant_values=False)
     work = _spread(_spread(work, radius, np.logical_or), radius, np.logical_and)
-    closed[y0:y1, x0:x1] = work[radius:radius + y1 - y0, radius:radius + x1 - x0]
+    starts, lengths, first = label_mask(~work, four=True)
+    hole = first > 0
+    work.flat[run_pixels(starts[hole], lengths[hole], work.shape[1])] = True
+    closed[y0:y1, x0:x1] = work[pad:pad + y1 - y0, pad:pad + x1 - x0]
     return closed
 
 

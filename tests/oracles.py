@@ -47,8 +47,9 @@ def textbook_det(a):
     )
 
 
-def flood_fill_components(mask):
-    """All 8-connected components as sets of (x, y), via BFS."""
+def flood_fill_components(mask, four=False):
+    """All 8-connected (4-connected if four) components as sets of (x, y),
+    via BFS."""
     m = np.asarray(mask, dtype=bool)
     height, width = m.shape
     seen = np.zeros_like(m)
@@ -65,6 +66,8 @@ def flood_fill_components(mask):
                 pixels.add((x, y))
                 for dy in (-1, 0, 1):
                     for dx in (-1, 0, 1):
+                        if four and dx and dy:
+                            continue
                         nx, ny = x + dx, y + dy
                         if 0 <= nx < width and 0 <= ny < height and m[ny, nx] and not seen[ny, nx]:
                             seen[ny, nx] = True
@@ -423,9 +426,9 @@ def brute_detect(pixels, config):
     3. otsu_one_call's mask, less all but its largest 8-connected blob,
        then brute_row_midpoints with min_span = max(1, round(min_span_frac
        * width)) and the midpoint on the mask, fitted by fit_axis_lsm;
-    4. brute_asymmetry, then brute_close, then flood_fill_components,
-       keeping components of at least min_area pixels (ceil(w h / 2621)
-       when min_area is None);
+    4. brute_asymmetry, then brute_close, then brute_fill_holes, then
+       flood_fill_components, keeping components of at least min_area
+       pixels (ceil(w h / 2621) when min_area is None);
     5. the total area times pixel_spacing², which must be finite; found
        when some region is kept.
 
@@ -461,7 +464,7 @@ def brute_detect(pixels, config):
     except BrainsymError as exc:
         raise PipelineError("fit_axis", str(exc)) from exc
     unmatched = brute_asymmetry(edges, axis, config.mirror_tol).astype(bool)
-    closed = brute_close(unmatched, config.closing_radius)
+    closed = brute_fill_holes(brute_close(unmatched, config.closing_radius))
     min_area = config.min_area if config.min_area is not None else math.ceil(width * height / 2621)
     kept = [c for c in flood_fill_components(closed) if len(c) >= min_area]
     kept.sort(key=lambda c: (-len(c), min(y for _, y in c), min(x for x, _ in c)))

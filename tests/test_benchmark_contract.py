@@ -29,8 +29,8 @@ from workloads import WORKLOADS, build_image
 
 SEED = 7
 POOL_DIGESTS = {
-    "lib-513": "7fdbe55c6ed6f02cf80e654bef318d17e965c462accc6cdfd2b108cc0c4bc5d6",
-    "lib-1025-stress": "979fcfede80fc4ca1ef797248eaed53847690029262f47a935c54df6b5e336ae",
+    "lib-513": "bfbdb3b157d277ea4a67644adb3f95f2023eab95a51cdad18c08f7c52861441b",
+    "lib-1025-stress": "0d84a48a16b656ed947f153b0ee9a85fd59090a87966811d8d380e840c37d437",
 }
 
 

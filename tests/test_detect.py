@@ -127,7 +127,8 @@ def test_close_radius_zero_identity():
     mask = rng.random((9, 9)) < 0.3
     out = close_mask(mask, 0)
     assert out.dtype == bool and out.shape == mask.shape
-    assert np.array_equal(out, mask)
+    # radius 0 closes nothing, so only the holes are filled
+    assert np.array_equal(out, brute_fill_holes(brute_close(mask, 0)))
     assert out is not mask
 
 
@@ -163,7 +164,7 @@ def test_morphology_matches_brute_force():
         height, width = (int(v) for v in rng.integers(1, 21, size=2))
         mask = rng.random((height, width)) < rng.uniform(0.02, 0.6)
         radius = int(rng.integers(0, 26))
-        assert np.array_equal(close_mask(mask, radius), brute_close(mask, radius))
+        assert np.array_equal(close_mask(mask, radius), brute_fill_holes(brute_close(mask, radius)))
 
 
 def test_huge_radii_clamp_exactly():
@@ -172,7 +173,7 @@ def test_huge_radii_clamp_exactly():
         height, width = (int(v) for v in rng.integers(1, 13, size=2))
         mask = rng.random((height, width)) < rng.uniform(0.01, 0.2)
         beyond = max(height, width) + 5
-        assert np.array_equal(close_mask(mask, 10**9), brute_close(mask, beyond))
+        assert np.array_equal(close_mask(mask, 10**9), brute_fill_holes(brute_close(mask, beyond)))
         axis = SymmetryAxis(1, (float(rng.uniform(0, width)), float(rng.uniform(-0.3, 0.3))))
         got = asymmetry_map(EdgeMap(mask), axis, 10**9)
         assert np.array_equal(got, brute_asymmetry(mask, axis, beyond))
@@ -255,10 +256,10 @@ def test_components_min_area_past_float_range():
 # run labeling, shared by brain_mask, canny's hysteresis and
 # connected_components
 
-def _run_label_raster(mask):
+def _run_label_raster(mask, four):
     """The labeler's components numbered 1, 2, ... in the order of their
     first runs, 0 off the mask: ndimage.label's numbering, if it is right."""
-    starts, lengths, first = label_mask(mask)
+    starts, lengths, first = label_mask(mask, four)
     number = np.cumsum(first == np.arange(first.size))[first]
     labels = np.zeros(mask.size, dtype=np.int64)
     labels[run_pixels(starts, lengths, mask.shape[1])] = np.repeat(number, lengths)
@@ -266,17 +267,22 @@ def _run_label_raster(mask):
 
 
 def _check_run_labels(mask):
-    labels = _run_label_raster(mask)
-    assert np.array_equal(labels, ndimage.label(mask, structure=np.ones((3, 3)))[0])
-    ys, xs = np.nonzero(labels)
-    found = {}
-    for y, x, k in zip(ys.tolist(), xs.tolist(), labels[ys, xs].tolist()):
-        found.setdefault(k, set()).add((x, y))
-    assert {frozenset(c) for c in found.values()} == {frozenset(c) for c in flood_fill_components(mask)}
-    # the runs' pixels, run after run, are the set pixels' sorted flat
-    # indices, which lets canny label its weak pixels by np.repeat
-    starts, lengths, _ = label_mask(mask)
-    assert np.array_equal(run_pixels(starts, lengths, mask.shape[1]), np.flatnonzero(mask))
+    # 8-connected, as the components are, and 4-connected, as close_mask
+    # labels the background to find the holes
+    for four in (False, True):
+        labels = _run_label_raster(mask, four)
+        structure = ndimage.generate_binary_structure(2, 1 if four else 2)
+        assert np.array_equal(labels, ndimage.label(mask, structure=structure)[0]), four
+        ys, xs = np.nonzero(labels)
+        found = {}
+        for y, x, k in zip(ys.tolist(), xs.tolist(), labels[ys, xs].tolist()):
+            found.setdefault(k, set()).add((x, y))
+        expected = {frozenset(c) for c in flood_fill_components(mask, four)}
+        assert {frozenset(c) for c in found.values()} == expected, four
+        # the runs' pixels, run after run, are the set pixels' sorted flat
+        # indices, which lets canny label its weak pixels by np.repeat
+        starts, lengths, _ = label_mask(mask, four)
+        assert np.array_equal(run_pixels(starts, lengths, mask.shape[1]), np.flatnonzero(mask))
 
 
 def test_run_labels_match_ndimage_and_flood_fill():
@@ -321,7 +327,7 @@ def test_run_labels_on_structured_masks():
 def test_structured_close_matches_brute_force(name, mask):
     for radius in RADII:
         # beyond max(height, width) the closing no longer changes
-        expected = brute_close(mask, min(radius, max(mask.shape) + 1))
+        expected = brute_fill_holes(brute_close(mask, min(radius, max(mask.shape) + 1)))
         assert np.array_equal(close_mask(mask, radius), expected), radius
 
 
@@ -389,7 +395,7 @@ def _sparse_axes(width):
 def test_sparse_close_matches_brute_force(name, mask):
     for radius in RADII:
         # beyond max(height, width) the closing no longer changes
-        expected = brute_close(mask, min(radius, max(mask.shape) + 1))
+        expected = brute_fill_holes(brute_close(mask, min(radius, max(mask.shape) + 1)))
         assert np.array_equal(close_mask(mask, radius), expected), radius
 
 
@@ -908,13 +914,15 @@ def test_fill_holes_oracle_matches_scipy_on_random_masks():
 
 @pytest.mark.parametrize("seed", [3, 17, 41])
 def test_fill_holes_oracle_on_closed_lesion_edges(seed):
-    # the closed mask detect_pipeline hands to connected_components
+    # the unmatched edges detect_pipeline hands to close_mask
     config = PipelineConfig()
     img, _ = generate(PhantomSpec(seed=seed, lesion=LesionSpec(40, 128, 10, 60)))
     pre = preprocess(img, config)
     edges = canny(pre, config.sigma, config.canny_low, config.canny_high)
     axis = fit_image_axis(pre, config)
-    closed = close_mask(asymmetry_map(edges, axis, config.mirror_tol), config.closing_radius)
+    unmatched = asymmetry_map(edges, axis, config.mirror_tol)
+    closed = brute_close(unmatched, config.closing_radius)
     filled = brute_fill_holes(closed)
     assert np.array_equal(filled, ndimage.binary_fill_holes(closed))
     assert filled.sum() > closed.sum()  # the lesion's edge ring encloses a hole
+    assert np.array_equal(close_mask(unmatched, config.closing_radius), filled)

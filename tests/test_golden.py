@@ -65,36 +65,36 @@ GOLDEN = {
         "4005d3296dd0f469c265f9a61202f16d9f7de8cf73eab6a243258f2daf15e628",
     ),
     "lesion-21": (
-        "745332308acff93a8e18a18e021c64aaea63bf854860c3b92592bd04fa71141a",
-        "b6d63432f4fc87d074489bac3cc026974a2ee1ed72dff6285f7ade009be9e3a9",
+        "8694956d90e8cb15484ac8e6d79adea95bdc2bd4e8b41ed5c6a3dcab7fae0f88",
+        "b4d86d280fcdb7fcd092a99ea06733abc5b01f9e39e0ae42e578f36df156f76b",
     ),
     "lesion-21-median5": (
-        "33df95060604dbdb468997e5af3f412be4c7e78f76d8bbb4f7a90ba2a7ff8af0",
-        "354dc7ad67e1258cad246d17aec27380a4335848fa3179d61b8575f36cad8051",
+        "ae32097de5fa1960de24e37d1b63eaf40352cfebd5461cfa802eea70c6ef5cb8",
+        "841703ecd7c08dfa05d163b60a043fd6d007cc2e33a107a26563a3ea04f9236f",
     ),
     "lesion-22": (
-        "31ae63515726fb59232753152a1891490a8373f4de7c1d0462abbe6fbb55d7e4",
-        "11e4d2a2be124f50555e015c8e93ed1d1c06caf96d2018c0dde4ff5084f3fdc5",
+        "08c869aad39455ec80d7bc4a06656fb9b77c0b45a443d38ec5959990097b3f3f",
+        "cace37b20dfda8298f1fe7a334d537582ca5d31e49a5c56fa106858826ad5e07",
     ),
     "lesion-23": (
-        "664d44885adc5accaae7ba907182496e304d80bb5d53940f214481c9aab0d0f3",
-        "baa68e9ff5c6b12bfb9e5616147b82dc5c05193f4d267d7bbd59b37262e6a714",
+        "49c23ddcde2a7a82697a0a5668835c1bb02657cd40de92d2cf748df859d22537",
+        "5fc3d9ab9d056422881c967c4418c8ddf8551eb6a3c50c59b457ea750b6711bc",
     ),
     "lesion-24": (
-        "97793c30340856769fed578c81931e7f7743a9d0382ce328e04fbc24dca3a832",
-        "d7e436fbe78fd7ef2a8cf0278b6cb177ef6c547150014508ebaa9c31b42983eb",
+        "a6228cc77b51cf2c28666150aa21ce5c629a891c9dd1f5e434fc1cdbf9d85399",
+        "ce7e0ef45bd33cde209a269655dfaf87c8749ccfbfc6b9340d64bc39932bab98",
     ),
     "lesion-24-wide": (
-        "e378de0b1d2458af6984b418715b51a946a4220699da2202f09db010a5043b0d",
-        "6c840f8f193cec39c3cbbef3d6759106fdd93aef35a256d55afef08c0e0c390a",
+        "b53437eed8cceed2d4bd24557f8b9bdc2acf4e5943ac8d8aacf40b29b9123b4b",
+        "ce7e0ef45bd33cde209a269655dfaf87c8749ccfbfc6b9340d64bc39932bab98",
     ),
     "lesion-25": (
-        "24b1759ec700862371637cfb36227b61bb1e88efb6736a46d593ccd4a2959394",
-        "437a06a972019e8877bc44dc834f999c6f41f81629120955ac461148272ff73d",
+        "bace43c44c08c9490d038e629aa19a406f1e162b5288851face48817f93c77f0",
+        "2a9701360e73b61b030a7b5d876e2814c95f098369494597efa1a71d25c85452",
     ),
     "lesion-31-513": (
-        "0cae60e140db980d18ee313dd753fa89ce8cef0c8c373a85c4ff6514c61b4c43",
-        "7de9294f8a529c778aa2a87b44098db0f535bc500420c8519e5373d2d220a765",
+        "e38e084b5afd02d8c8e92e345bbfd6f92087f0fd084f5969dba639f85d55a1ba",
+        "71a79d6a73c4fc8f93cbe3135acc091c8cb973b38fcb159d7b8bc6bf2dc4f3f9",
     ),
 }
 
