@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -379,6 +380,7 @@ def _paint_overlay(img: GrayImage, axis: SymmetryAxis, regions: list[Region]) ->
         rgb[y1, x0:x1 + 1] = BBOX_COLOR
         rgb[y0:y1 + 1, x0] = BBOX_COLOR
         rgb[y0:y1 + 1, x1] = BBOX_COLOR
-    painted = np.array([p for region in regions for p in region.pixels], dtype=np.int64).reshape(-1, 2)
-    rgb[painted[:, 1], painted[:, 0]] = REGION_COLOR
+    # every region pixel's x and y in turn: x0, y0, x1, y1, ...
+    xy = np.fromiter(chain.from_iterable(chain.from_iterable(r.pixels for r in regions)), dtype=np.int64)
+    rgb[xy[1::2], xy[0::2]] = REGION_COLOR
     return RgbImage(rgb)
