@@ -527,10 +527,20 @@ def test_contrast_flat_unchanged():
     assert np.array_equal(out.pixels, img.pixels)
 
 
-@pytest.mark.parametrize("h", [127, 128, 129, 257])  # around its 128-row blocks
+@pytest.mark.parametrize("h", [127, 128, 129, 257])  # around the 128-row blocks it once took
 def test_contrast_matches_formula_across_row_blocks(h):
     raw = np.random.default_rng(h).integers(20, 230, size=(h, 5), dtype=np.uint8)
     assert np.array_equal(contrast_stretch(GrayImage(raw)).pixels, brute_contrast(raw))
+
+
+def test_contrast_output_is_a_fresh_writable_array():
+    raw = np.random.default_rng(5).integers(20, 230, size=(9, 14), dtype=np.uint8)
+    out = contrast_stretch(GrayImage(raw)).pixels
+    assert out.dtype == np.uint8 and out.shape == raw.shape
+    assert out.flags.c_contiguous and out.flags.writeable
+    assert not np.shares_memory(out, raw)
+    out[0, 0] ^= 1
+    assert np.array_equal(contrast_stretch(GrayImage(raw)).pixels[1:], out[1:])
 
 
 def test_contrast_memory_at_513():
