@@ -2,7 +2,8 @@
 
 Edge pixels whose mirror image (across the fitted axis) also lands on an
 edge are treated as anatomy and suppressed; unmatched edge pixels are
-kept, closed into blobs and measured. Every mask after Canny's EdgeMap
+kept, closed into blobs whose holes are filled, so a lesion's edge ring
+becomes the lesion, and measured. Every mask after Canny's EdgeMap
 (unmatched edges, the closed map) is a plain bool array. Reported areas
 are 2-D quantities of a single slice (pixels and mm^2); no volume is
 estimated.

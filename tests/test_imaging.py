@@ -527,7 +527,7 @@ def test_contrast_flat_unchanged():
     assert np.array_equal(out.pixels, img.pixels)
 
 
-@pytest.mark.parametrize("h", [127, 128, 129, 257])  # around the 128-row blocks it once took
+@pytest.mark.parametrize("h", [127, 128, 129, 257])
 def test_contrast_matches_formula_across_row_blocks(h):
     raw = np.random.default_rng(h).integers(20, 230, size=(h, 5), dtype=np.uint8)
     assert np.array_equal(contrast_stretch(GrayImage(raw)).pixels, brute_contrast(raw))
