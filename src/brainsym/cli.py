@@ -59,10 +59,6 @@ def _given(spec_type, args: argparse.Namespace) -> dict:
     return {name: value for name, value in values.items() if value is not None}
 
 
-def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(**_given(PipelineConfig, args))
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """One flag per PipelineConfig field; each dest is the field name and
     each default is the field's default."""
@@ -265,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # an image subcommand gets its config and then its gray input, so a
         # flag error exits 2 before the input is opened
-        image = (_config_from_args(args), _load_gray(args.input)) if "input" in args else ()
+        image = (PipelineConfig(**_given(PipelineConfig, args)), _load_gray(args.input)) if "input" in args else ()
         args.func(args, *image)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,6 @@ from .imaging import (
     GrayImage,
     RgbImage,
     _gaussian_radius,
-    _pads_past_any_array,
     contrast_stretch,
     gaussian_smooth,
     median_filter,
@@ -295,14 +294,11 @@ def preprocess(img: GrayImage, config: PipelineConfig) -> GrayImage:
     The smoothing reaches ceil(3 sigma), the median median_window // 2;
     past the limit, a ParameterError is raised before any stage runs,
     since the smoothing's reflect pad and the median's O(8 N window²)
-    rank select grow with the reach, whatever the raster. A window that
-    pads the raster past any array size is left to the median stage,
-    whose error names it.
+    rank select grow with the reach, whatever the raster and however far
+    past the limit.
     """
     limit = max(*img.pixels.shape, 512) // 16
-    reaches = {"sigma": _gaussian_radius(config.sigma)}
-    if not _pads_past_any_array(img.pixels.shape, config.median_window):
-        reaches["median_window"] = config.median_window // 2
+    reaches = {"sigma": _gaussian_radius(config.sigma), "median_window": config.median_window // 2}
     for name, reach in reaches.items():
         if reach > limit:
             raise ParameterError(f"{name} {getattr(config, name)} reaches {reach} px, past the "

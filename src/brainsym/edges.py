@@ -111,10 +111,9 @@ def gradient(img: GrayImage, operator: str) -> GradientField:
     uses unit side weights; roberts is the diagonal 2x2 pair anchored at
     the top-left pixel.
     """
-    if operator not in OPERATORS:
-        raise ParameterError(f"unknown operator {operator!r}; valid: {', '.join(OPERATORS)}")
     min_side = 2 if operator == "roberts" else 3
-    if img.height < min_side or img.width < min_side:
+    # an unknown operator is left to gradient_raster, whose error names it
+    if operator in OPERATORS and (img.height < min_side or img.width < min_side):
         raise ParameterError(
             f"{operator} needs at least {min_side}x{min_side} pixels, "
             f"got {img.width}x{img.height}"

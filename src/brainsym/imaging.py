@@ -219,7 +219,7 @@ def _tap_sum(v, k, step, out, prod):
         out += prod
 
 
-def _smooth_blocks(values, sigma: float, pad: int = 0):
+def _smooth_blocks(a: np.ndarray, sigma: float, pad: int = 0):
     """Smooth a 2-D raster one block of rows at a time (see smooth_raster).
 
     Yields (y0, y1, block) per block of output rows y0..y1-1, in order.
@@ -246,7 +246,6 @@ def _smooth_blocks(values, sigma: float, pad: int = 0):
     """
     k = _gaussian_kernel_1d(sigma)
     n = len(k)
-    a = np.asarray(values)
     h, w = a.shape
     # reflected once, in the input's dtype; only a block's rows become float64
     padded = np.pad(a, (n - 1) // 2, mode="reflect")
@@ -321,7 +320,7 @@ def gaussian_smooth(img: GrayImage, sigma: float) -> GrayImage:
     return GrayImage(out)
 
 
-# rows per block of the uint8 kernels (3x3 median, contrast LUT, histogram):
+# rows per block of the uint8 kernels (3x3 median, histogram):
 # bounds their temporaries, intp index copies included, to one block
 _BLOCK_ROWS = 128
 
@@ -379,12 +378,6 @@ def _median_rank_select(padded: np.ndarray, window: int) -> np.ndarray:
     return med
 
 
-def _pads_past_any_array(shape: tuple[int, int], window: int) -> bool:
-    """Whether a raster of this shape, padded by window // 2 on each side,
-    has more pixels than any array can index."""
-    return (shape[0] + window - 1) * (shape[1] + window - 1) > np.iinfo(np.intp).max
-
-
 def median_filter(img: GrayImage, window: int) -> GrayImage:
     """Exact window x window median, reflected borders; window odd and >= 3.
 
@@ -397,7 +390,7 @@ def median_filter(img: GrayImage, window: int) -> GrayImage:
     window = _require_int("window", window, 3)
     if window % 2 == 0:
         raise ParameterError(f"median window must be odd and >= 3, got {window}")
-    if _pads_past_any_array(img.pixels.shape, window):
+    if math.prod(side + window - 1 for side in img.pixels.shape) > np.iinfo(np.intp).max:
         raise ParameterError(f"median window {window} pads the raster past any array size")
     padded = np.pad(img.pixels, window // 2, mode="reflect")
     if window == 3:
@@ -406,11 +399,12 @@ def median_filter(img: GrayImage, window: int) -> GrayImage:
 
 
 def contrast_stretch(img: GrayImage) -> GrayImage:
-    """Linear min-max stretch onto [0, 255]; flat images pass through."""
+    """Linear min-max stretch onto [0, 255] into a fresh array; a flat
+    image maps through the identity table, so its pixels stay as they are."""
     lo = int(img.pixels.min())
     hi = int(img.pixels.max())
     if hi == lo:
-        return img
+        lo, hi = 0, 255
     levels = np.arange(256, dtype=np.float64)
     stretched = round_half_away((levels - lo) * 255.0 / (hi - lo))
     # entries outside [lo, hi] are never indexed; clip keeps the cast safe

@@ -17,7 +17,7 @@ from brainsym import (
     save_netpbm,
 )
 from brainsym import cli
-from brainsym.cli import _config_from_args, build_parser
+from brainsym.cli import _given, build_parser
 
 
 def run_cli(*args):
@@ -183,21 +183,23 @@ def test_detect_min_area_past_float_range_is_clamped(phantom_paths, tmp_path, ca
 IMAGE_COMMANDS = {"edges": "-o", "axis": "-o", "detect": "-d", "report": "-o"}
 
 
-# 2**40 + 1 pads past any array; the second is past 2**63 as well
+# 2**40 + 1 pads past any array; the second is past 2**63 as well. Both
+# are past the reach limit first, so preprocess rejects them before any stage.
 @pytest.mark.parametrize("window", ["1099511627777", "1" * 31])
 @pytest.mark.parametrize("command", IMAGE_COMMANDS)
-def test_median_window_past_any_array_exit_3(phantom_paths, tmp_path, capsys, command, window):
+def test_median_window_past_any_array_exit_2(phantom_paths, tmp_path, capsys, command, window):
     out = tmp_path / "out"
     assert cli.main([command, str(phantom_paths["lesioned"]), IMAGE_COMMANDS[command], str(out),
-                     "--median-window", window]) == 3
+                     "--median-window", window]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: stage 'median': ") and err.count("\n") == 1, err
+    assert re.fullmatch(rf"error: median_window {window} reaches \d+ px, past the 32 px limit "
+                        r"of a 257x257 raster\n", err), err
     assert not out.exists()
 
 
 def test_detect_bare_flags_give_default_config():
     args = build_parser().parse_args(["detect", "in.pgm", "-d", "out"])
-    assert _config_from_args(args) == PipelineConfig()
+    assert PipelineConfig(**_given(PipelineConfig, args)) == PipelineConfig()
 
 
 # every field of PipelineConfig at its default, as the parser gives it

@@ -100,8 +100,11 @@ def test_gradient_validation():
         gradient(GrayImage([[1, 2], [3, 4]]), "sobel")
     with pytest.raises(ParameterError):
         gradient(GrayImage([[1]]), "roberts")
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="unknown operator"):
         gradient(GrayImage(np.zeros((5, 5), dtype=np.uint8)), "laplace")
+    # the operator is checked before the size, which only a known operator has
+    with pytest.raises(ParameterError, match="unknown operator"):
+        gradient(GrayImage([[1]]), "laplace")
     with pytest.raises(ParameterError, match="unknown operator"):
         gradient_raster(np.zeros((5, 5)), "laplace")
 

@@ -534,13 +534,14 @@ def test_contrast_matches_formula_across_row_blocks(h):
 
 
 def test_contrast_output_is_a_fresh_writable_array():
-    raw = np.random.default_rng(5).integers(20, 230, size=(9, 14), dtype=np.uint8)
-    out = contrast_stretch(GrayImage(raw)).pixels
-    assert out.dtype == np.uint8 and out.shape == raw.shape
-    assert out.flags.c_contiguous and out.flags.writeable
-    assert not np.shares_memory(out, raw)
-    out[0, 0] ^= 1
-    assert np.array_equal(contrast_stretch(GrayImage(raw)).pixels[1:], out[1:])
+    noisy = np.random.default_rng(5).integers(20, 230, size=(9, 14), dtype=np.uint8)
+    for raw in (noisy, np.full((9, 14), 77, dtype=np.uint8)):
+        out = contrast_stretch(GrayImage(raw)).pixels
+        assert out.dtype == np.uint8 and out.shape == raw.shape
+        assert out.flags.c_contiguous and out.flags.writeable
+        assert not np.shares_memory(out, raw)
+        out[0, 0] ^= 1
+        assert np.array_equal(contrast_stretch(GrayImage(raw)).pixels[1:], out[1:])
 
 
 def test_contrast_memory_at_513():
