@@ -86,6 +86,9 @@ class PipelineConfig:
         _require_fields(self, _require_real, "sigma", "canny_low", "canny_high", "min_span_frac", "pixel_spacing")
         if self.min_area is not None:
             _require_fields(self, _require_real, min_area=1)
+        if not isinstance(self.contrast, (bool, np.bool_)):
+            raise ParameterError(f"contrast must be a bool, got {self.contrast!r}")
+        object.__setattr__(self, "contrast", bool(self.contrast))
         _gaussian_radius(self.sigma)
         if self.median_window != 0 and (self.median_window < 3 or self.median_window % 2 == 0):
             raise ParameterError(f"median_window must be 0 or odd >= 3, got {self.median_window}")

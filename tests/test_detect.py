@@ -577,6 +577,12 @@ def test_config_validation():
     ):
         with pytest.raises(ParameterError):
             PipelineConfig(**kwargs)
+    for contrast in ("no", None, 0, 1, 1.0, np.int64(1), np.array([True])):
+        with pytest.raises(ParameterError, match="contrast"):
+            PipelineConfig(contrast=contrast)
+    for contrast in (True, False, np.True_, np.False_):
+        stored = PipelineConfig(contrast=contrast).contrast
+        assert type(stored) is bool and stored == contrast
 
 
 @pytest.mark.parametrize("low, high", [
